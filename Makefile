@@ -75,12 +75,11 @@ test-kernel: build
 	EWALK_JOBS=1 dune exec bin/eproc.exe -- check-oracle --kernel
 	EWALK_JOBS=4 dune exec bin/eproc.exe -- check-oracle --kernel
 
-# The compact-data-plane gate: packed bitsets vs the reference model
-# (qcheck, with shrinking), the compact partition vs legacy Unvisited
-# draw-for-draw, trace byte-equality across processes x reorders x kernel
-# widths x job counts, mutation kills for broken swap-to-back and stale
-# popcounts, and the Bloom false-positive characterization — serially and
-# with 4 domains.
+# The compact-data-plane gate: packed bitsets and the slot-ordered arc
+# marks vs boolean reference models (qcheck, with shrinking), the marks =
+# coverage invariant after every step of the E-process rules and of
+# cooperating engines, and the kernel's visited edges vs the naive oracle
+# per configuration and across job counts — serially and with 4 domains.
 test-compact: build
 	EWALK_JOBS=1 dune exec test/test_compact.exe
 	EWALK_JOBS=4 dune exec test/test_compact.exe

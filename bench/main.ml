@@ -119,42 +119,6 @@ let bench_generator () =
   let rng = Rng.create ~seed:92 () in
   fun () -> ignore (Ewalk_graph.Gen_regular.random_regular rng 2_000 4)
 
-(* Ablation (DESIGN.md section 5): the E-process with naive O(deg) rescan of
-   the adjacency instead of the swap-partition bookkeeping.  Same trajectory
-   distribution; only the unvisited-edge lookup differs. *)
-let bench_naive_eprocess () =
-  let g = Lazy.force fixture_regular in
-  let rng = Rng.create ~seed:91 () in
-  fun () ->
-    let visited = Array.make (Graph.m g) false in
-    let pos = ref 0 in
-    for _ = 1 to 10_000 do
-      let v = !pos in
-      let deg = Graph.degree g v in
-      (* Rescan: count unvisited slots, then pick one uniformly. *)
-      let unvisited = ref 0 in
-      for i = 0 to deg - 1 do
-        if not visited.(Graph.neighbor_edge g v i) then incr unvisited
-      done;
-      let slot =
-        if !unvisited > 0 then begin
-          let target = Rng.int rng !unvisited in
-          let seen = ref 0 and found = ref 0 in
-          for i = 0 to deg - 1 do
-            if not visited.(Graph.neighbor_edge g v i) then begin
-              if !seen = target then found := i;
-              incr seen
-            end
-          done;
-          !found
-        end
-        else Rng.int rng deg
-      in
-      let e = Graph.neighbor_edge g v slot in
-      visited.(e) <- true;
-      pos := Graph.neighbor g v slot
-    done
-
 let bench_rejection_generator () =
   (* Ablation: exact-uniform pairing rejection vs Steger-Wormald (r = 3,
      where rejection is still viable). *)
@@ -297,7 +261,6 @@ let kernels () =
     ("cycle-census:count-cycles", bench_count_cycles ());
     ("process-compare:rotor-10k-steps", bench_rotor_steps ());
     ("generator:steger-wormald-2k", bench_generator ());
-    ("ablation:eprocess-naive-rescan", bench_naive_eprocess ());
     ("ablation:generator-rejection-2k", bench_rejection_generator ());
     ("obs:eprocess-10k-steps-nullsink", bench_eprocess_obs_null ());
     ("obs:eprocess-10k-steps-metrics", bench_eprocess_obs_metrics ());

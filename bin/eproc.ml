@@ -35,93 +35,6 @@ let seed_arg =
   let doc = "Random seed (all runs are deterministic given the seed)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let reorder_arg =
-  let parse = function
-    | "none" -> Ok None
-    | "degree" -> Ok (Some Graph.Degree_sort)
-    | "bfs" -> Ok (Some Graph.Bfs)
-    | "rcm" -> Ok (Some Graph.Rcm)
-    | s -> Error (`Msg (Printf.sprintf "unknown reorder %S" s))
-  in
-  let print ppf o =
-    Format.pp_print_string ppf
-      (match o with
-      | None -> "none"
-      | Some Graph.Degree_sort -> "degree"
-      | Some Graph.Bfs -> "bfs"
-      | Some Graph.Rcm -> "rcm")
-  in
-  let doc =
-    "Cache-conscious vertex relabeling applied before the walk: $(b,none), \
-     $(b,degree) (ascending-degree sort), $(b,bfs), or $(b,rcm) (reverse \
-     Cuthill-McKee).  Edge ids and every random draw are unchanged and \
-     trace vertices are mapped back through the inverse permutation, so \
-     the emitted stream is byte-identical to the unreordered run.  A \
-     resumed leg must pass the same $(docv) as the leg that wrote the \
-     snapshot."
-  in
-  Arg.(
-    value
-    & opt (Arg.conv (parse, print)) None
-    & info [ "reorder" ] ~docv:"ORDER" ~doc)
-
-let approx_arg =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ bits; hashes ] -> (
-        match (int_of_string_opt bits, int_of_string_opt hashes) with
-        | Some bits_per_edge, Some hashes when bits_per_edge > 0 && hashes > 0
-          ->
-            Ok (Some (Ewalk.Eprocess.Bloom { bits_per_edge; hashes }))
-        | _ -> Error (`Msg (Printf.sprintf "malformed approx spec %S" s)))
-    | _ -> Error (`Msg (Printf.sprintf "approx spec %S is not BITS:HASHES" s))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "exact"
-    | Some (Ewalk.Eprocess.Bloom { bits_per_edge; hashes }) ->
-        Format.fprintf ppf "%d:%d" bits_per_edge hashes
-  in
-  let doc =
-    "Opt-in lossy visited tracking for the e-process rules: a Bloom filter \
-     of $(b,BITS) bits per edge with $(b,HASHES) probes replaces the exact \
-     visited set.  False positives make the walk skip some unvisited \
-     edges (the distortion tally is printed at the end); approximate runs \
-     cannot be checkpointed."
-  in
-  Arg.(
-    value
-    & opt (Arg.conv (parse, print)) None
-    & info [ "approx-visited" ] ~docv:"BITS:HASHES" ~doc)
-
-(* --reorder: relabel the graph before the walk.  The permutation
-   (perm.(old) = new) is threaded to rotor/engine creation so random
-   offsets draw in original vertex order, and the inverse goes to the
-   trace sink so emitted vertex labels are the original ones. *)
-let apply_reorder g = function
-  | None -> (g, None, None)
-  | Some order ->
-      let g', perm = Graph.reorder g order in
-      (g', Some perm, Some (Graph.inverse_permutation perm))
-
-let relabel_sink inv sink =
-  match inv with
-  | None -> sink
-  | Some inv ->
-      Obs.Trace.of_fun
-        ~close:(fun () -> Obs.Trace.close sink)
-        (fun ev ->
-          let ev =
-            match ev with
-            | Obs.Trace.Run_start { name; n; m; start } ->
-                Obs.Trace.Run_start { name; n; m; start = inv.(start) }
-            | Obs.Trace.Step { step; vertex; edge; blue } ->
-                Obs.Trace.Step { step; vertex = inv.(vertex); edge; blue }
-            | Obs.Trace.Phase { step; kind; vertex } ->
-                Obs.Trace.Phase { step; kind; vertex = inv.(vertex) }
-            | ev -> ev
-          in
-          Obs.Trace.emit sink ev)
-
 let scale_arg =
   let parse = function
     | "tiny" -> Ok Expt.Sweep.Tiny
@@ -599,40 +512,16 @@ let process_arg =
 
 (* Each spec yields the generic process plus a native-hook attacher for the
    processes that have one (E-process, SRW); others only get the generic
-   [Observe.instrument] wrapper.  [start] defaults to vertex 0; with
-   --reorder the caller passes the relabeled start [perm.(0)] (and [perm]
-   itself, so the rotor draws its offsets in original vertex order).
-   [approx] switches the e-process rules to Bloom visited tracking; the
-   created process rides back so the caller can report the distortion. *)
-let make_process ?(start = 0) ?perm ?approx spec g rng =
-  let approx_only_eprocess () =
-    match approx with
-    | None -> ()
-    | Some _ ->
-        Printf.eprintf
-          "eproc: --approx-visited applies to the e-process rules only \
-           (process %S)\n"
-          spec;
-        exit 2
-  in
+   [Observe.instrument] wrapper.  The walk starts at vertex 0. *)
+let make_process spec g rng =
+  let start = 0 in
   let eprocess ?rule () =
-    let t = Ewalk.Eprocess.create ?rule ?approx g rng ~start in
-    ( Ewalk.Eprocess.process t,
-      (fun obs -> Observe.attach_eprocess obs t),
-      Some t )
+    let t = Ewalk.Eprocess.create ?rule g rng ~start in
+    (Ewalk.Eprocess.process t, fun obs -> Observe.attach_eprocess obs t)
   in
-  let srw t =
-    approx_only_eprocess ();
-    (Ewalk.Srw.process t, (fun obs -> Observe.attach_srw obs t), None)
-  in
-  let rotor t =
-    approx_only_eprocess ();
-    (Ewalk.Rotor.process t, (fun obs -> Observe.attach_rotor obs t), None)
-  in
-  let plain p =
-    approx_only_eprocess ();
-    (p, (fun (_ : Observe.t) -> ()), None)
-  in
+  let srw t = (Ewalk.Srw.process t, fun obs -> Observe.attach_srw obs t) in
+  let rotor t = (Ewalk.Rotor.process t, fun obs -> Observe.attach_rotor obs t) in
+  let plain p = (p, fun (_ : Observe.t) -> ()) in
   match String.split_on_char ':' spec with
   | [ "e-process" ] -> eprocess ()
   | [ "e-process"; "lowest" ] -> eprocess ~rule:Ewalk.Eprocess.Lowest_slot ()
@@ -642,7 +531,7 @@ let make_process ?(start = 0) ?perm ?approx spec g rng =
   | [ "v-process" ] ->
       plain (Ewalk.Vprocess.process (Ewalk.Vprocess.create g rng ~start))
   | [ "rotor" ] ->
-      rotor (Ewalk.Rotor.create ~randomize_rotors:true ?perm g rng ~start)
+      rotor (Ewalk.Rotor.create ~randomize_rotors:true g rng ~start)
   | [ "rwc"; d ] ->
       plain
         (Ewalk.Rwc.process
@@ -681,29 +570,17 @@ let require_kernel_proc ~cmd spec =
         spec;
       exit 2
 
-(* [Kengine.create_spread] with the reorder permutation threaded through:
-   start vertices are drawn in original label space and mapped, and rotor
-   offsets draw in original vertex order, so the reordered engine is
-   isomorphic draw-for-draw to the unreordered one. *)
-let kengine_spread ?mode ?perm kp g rng ~walkers =
-  match perm with
-  | None -> Kengine.create_spread ?mode kp g rng ~walkers
-  | Some pm ->
-      let starts =
-        Array.init walkers (fun _ -> pm.(Rng.int rng (Graph.n g)))
-      in
-      Kengine.create ?mode ~perm:pm kp g rng ~starts
-
 (* The snapshottable subset of --process specs, as Snapshot.walk values:
    what `trace --checkpoint` can write and `trace --resume-from` restores.
    Specs outside it (adversarial rules, weighted walks, processes without
    a checkpoint function) return None.  With [walkers > 1] the kernel-
    ported specs build a cooperating lockstep engine instead. *)
-let make_snapshot_walk ?(walkers = 1) ?(start = 0) ?perm spec g rng =
+let make_snapshot_walk ?(walkers = 1) spec g rng =
   let module S = Ewalk_resume.Snapshot in
+  let start = 0 in
   if walkers > 1 then
     Option.map
-      (fun p -> S.Kernel (kengine_spread ?perm p g rng ~walkers))
+      (fun p -> S.Kernel (Kengine.create_spread p g rng ~walkers))
       (kernel_proc_of_spec spec)
   else
     match String.split_on_char ':' spec with
@@ -723,8 +600,7 @@ let make_snapshot_walk ?(walkers = 1) ?(start = 0) ?perm spec g rng =
     | [ "lazy-srw" ] -> Some (S.Srw (Ewalk.Srw.create_lazy g rng ~start))
     | [ "rotor" ] ->
         Some
-          (S.Rotor
-             (Ewalk.Rotor.create ~randomize_rotors:true ?perm g rng ~start))
+          (S.Rotor (Ewalk.Rotor.create ~randomize_rotors:true g rng ~start))
     | _ -> None
 
 let process_of_walk (w : Ewalk_resume.Snapshot.walk) =
@@ -751,7 +627,7 @@ let cover_cmd =
     in
     Arg.(value & flag & info [ "compete" ] ~doc)
   in
-  let run family process n trials seed walkers compete edges reorder metrics
+  let run family process n trials seed walkers compete edges metrics
       export_metrics profile jobs listen =
     if walkers < 1 then begin
       Printf.eprintf "eproc cover: --walkers must be at least 1\n";
@@ -782,8 +658,6 @@ let cover_cmd =
       Ewalk_par.Pool.map_array ~chunk:1 pool
         (fun (trial, rng) ->
           let g = Expt.Families.build family rng ~n in
-          let g, perm, _inv = apply_reorder g reorder in
-          let start = match perm with None -> 0 | Some pm -> pm.(0) in
           (* Each trial observes through its own view: per-trial drain
              state, and deterministic last-trial-wins gauges under any
              --jobs. *)
@@ -793,8 +667,7 @@ let cover_cmd =
             if compete then begin
               let kp = require_kernel_proc ~cmd:"cover" process in
               let eng =
-                kengine_spread ~mode:Kengine.Competing ?perm kp g rng
-                  ~walkers
+                Kengine.create_spread ~mode:Kengine.Competing kp g rng ~walkers
               in
               Option.iter (fun obs -> Kobs.attach obs eng) obs;
               let r =
@@ -807,14 +680,11 @@ let cover_cmd =
               let p, attach_native =
                 if walkers > 1 then begin
                   let kp = require_kernel_proc ~cmd:"cover" process in
-                  let eng = kengine_spread ?perm kp g rng ~walkers in
+                  let eng = Kengine.create_spread kp g rng ~walkers in
                   ( Kengine.process eng,
                     fun obs -> Kobs.attach obs eng )
                 end
-                else begin
-                  let p, attach, _ = make_process ~start ?perm process g rng in
-                  (p, attach)
-                end
+                else make_process process g rng
               in
               let p =
                 match obs with
@@ -880,7 +750,7 @@ let cover_cmd =
     (Cmd.info "cover" ~doc:"Measure cover times of a walk process.")
     Term.(
       const run $ family_arg $ process_arg $ n_arg $ trials_arg $ seed_arg
-      $ walkers_arg $ compete_arg $ edges_arg $ reorder_arg $ metrics_arg
+      $ walkers_arg $ compete_arg $ edges_arg $ metrics_arg
       $ export_metrics_arg $ profile_arg $ jobs_arg $ listen_arg)
 
 (* -- trace ----------------------------------------------------------------- *)
@@ -907,7 +777,7 @@ let trace_cmd =
   let checkpoint_arg =
     let doc =
       "Write a CRC-guarded snapshot of the full walk state (position, \
-       counters, coverage, unvisited partition, PRNG words) to $(docv) at \
+       counters, coverage, PRNG words) to $(docv) at \
        every checkpoint boundary; each write is atomic and emits a \
        $(b,checkpoint) trace event.  Only snapshottable processes \
        (e-process rules, srw, lazy-srw, rotor) qualify."
@@ -938,30 +808,17 @@ let trace_cmd =
     in
     Arg.(value & flag & info [ "compete" ] ~doc)
   in
-  let run family process n seed walkers reorder approx compete edges no_steps
-      max_steps out metrics export_metrics profile checkpoint checkpoint_every
-      resume_from listen =
+  let run family process n seed walkers compete edges no_steps max_steps out
+      metrics export_metrics profile checkpoint checkpoint_every resume_from
+      listen =
     if walkers < 1 then begin
       Printf.eprintf "eproc trace: --walkers must be at least 1\n";
-      exit 2
-    end;
-    if approx <> None && (checkpoint <> None || resume_from <> None) then begin
-      Printf.eprintf
-        "eproc trace: --approx-visited runs are lossy and cannot be \
-         checkpointed or resumed\n";
-      exit 2
-    end;
-    if approx <> None && (walkers > 1 || compete) then begin
-      Printf.eprintf
-        "eproc trace: --approx-visited supports the single-walker loop only\n";
       exit 2
     end;
     with_profile profile @@ fun prof ->
     let t0 = Obs.Clock.now_ns () in
     let rng = Rng.create ~seed () in
     let g = Expt.Families.build family rng ~n in
-    let g, perm, inv = apply_reorder g reorder in
-    let start = match perm with None -> 0 | Some pm -> pm.(0) in
     let oc, close_oc =
       if out = "-" then (stdout, fun () -> flush stdout)
       else begin
@@ -971,9 +828,7 @@ let trace_cmd =
       end
     in
     Fun.protect ~finally:close_oc (fun () ->
-        (* Innermost so both the written stream and the flight recorder
-           see original vertex labels under --reorder. *)
-        let sink = relabel_sink inv (Obs.Trace.jsonl oc) in
+        let sink = Obs.Trace.jsonl oc in
         let sink =
           if no_steps then
             Obs.Trace.filter
@@ -1036,7 +891,7 @@ let trace_cmd =
                       path;
                     exit 2)
             | None ->
-                ( kengine_spread ~mode:Kengine.Competing ?perm kp g rng
+                ( Kengine.create_spread ~mode:Kengine.Competing kp g rng
                     ~walkers,
                   None )
           in
@@ -1114,7 +969,7 @@ let trace_cmd =
           write_metrics_files ()
         end
         else begin
-          let walk_opt, (p, attach_native), approx_t, resumed_at =
+          let walk_opt, (p, attach_native), resumed_at =
             match resume_from with
             | Some path -> (
                 match Ewalk_resume.Snapshot.read_with_id g ~path with
@@ -1129,16 +984,10 @@ let trace_cmd =
                     adopt_parent_run snap_run.Obs.Runlog.run_id;
                     ( Some w,
                       process_of_walk w,
-                      None,
                       Some (Ewalk_resume.Snapshot.walk_steps w) ))
-            | None when approx <> None ->
-                let p, attach, t =
-                  make_process ~start ?perm ?approx process g rng
-                in
-                (None, (p, attach), t, None)
             | None -> (
-                match make_snapshot_walk ~walkers ~start ?perm process g rng with
-                | Some w -> (Some w, process_of_walk w, None, None)
+                match make_snapshot_walk ~walkers process g rng with
+                | Some w -> (Some w, process_of_walk w, None)
                 | None ->
                     if walkers > 1 then begin
                       Printf.eprintf
@@ -1146,10 +995,7 @@ let trace_cmd =
                         process;
                       exit 2
                     end;
-                    let p, attach, t =
-                      make_process ~start ?perm process g rng
-                    in
-                    (None, (p, attach), t, None))
+                    (None, make_process process g rng, None))
           in
           let pname =
             match (resume_from, walk_opt) with
@@ -1207,13 +1053,6 @@ let trace_cmd =
               Printf.eprintf "%s hit the %d-step cap before covering %s\n"
                 pname cap
                 (if edges then "edges" else "vertices"));
-          (match Option.bind approx_t Ewalk.Eprocess.approx_distortion with
-          | Some (fp, queries) ->
-              Printf.eprintf
-                "bloom distortion: %d/%d unvisited-edge queries hit false \
-                 positives\n"
-                fp queries
-          | None -> ());
           write_metrics_files ()
         end)
   in
@@ -1224,7 +1063,7 @@ let trace_cmd =
           event per line: run_start, step, phase, milestone, run_end).")
     Term.(
       const run $ family_arg $ process_arg $ n_arg $ seed_arg $ walkers_arg
-      $ reorder_arg $ approx_arg $ compete_arg $ edges_arg $ no_steps_arg
+      $ compete_arg $ edges_arg $ no_steps_arg
       $ max_steps_arg $ out_arg $ metrics_arg $ export_metrics_arg
       $ profile_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_from_arg
       $ listen_arg)

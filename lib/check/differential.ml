@@ -68,10 +68,11 @@ let ( let* ) = Result.bind
 let finish_monitor inv first =
   match !first with Some msg -> Error msg | None -> Ok (Invariant.steps inv)
 
-(* Deterministic blue rules: full RNG lockstep against the oracle. *)
+(* Every blue rule: full RNG lockstep against the oracle. *)
 let eprocess_lockstep c =
   let prod_rule, oracle_rule, inv_rule =
     match c.mode with
+    | Uar -> (Eprocess.Uar, Oracle.Eprocess.Uar, Invariant.Any_unvisited)
     | Lowest ->
         (Eprocess.Lowest_slot, Oracle.Eprocess.Lowest_slot, Invariant.Lowest_slot)
     | _ ->
@@ -125,59 +126,6 @@ let eprocess_lockstep c =
             (Coverage.vertices_visited cov)
             (Oracle.Eprocess.vertices_visited orc)
         else Ok !steps
-
-(* Uniform rule: trajectories legitimately diverge (production draws over
-   a swap-partitioned slot order), so the production run is validated by
-   the monitor and reconciled against the monitor's shadow; the oracle
-   runs the same seed independently as a sanity reference. *)
-let eprocess_uar c =
-  let g = c.graph in
-  let prod = Eprocess.create ~rule:Eprocess.Uar g (Rng.create ~seed:c.seed ()) ~start:0 in
-  let inv = Invariant.create ~rule:Invariant.Any_unvisited g ~start:0 in
-  let first = ref None in
-  Eprocess.set_observer prod (Some (monitor_observer inv first));
-  let cov = Eprocess.coverage prod in
-  let steps = ref 0 in
-  while (not (Coverage.all_vertices_visited cov)) && !steps < c.max_steps do
-    Eprocess.step prod;
-    incr steps
-  done;
-  let* _ = finish_monitor inv first in
-  if not (Coverage.all_vertices_visited cov) then
-    err "not covered within %d steps" c.max_steps
-  else
-    let shadow = Array.init (Graph.m g) (Invariant.edge_visited inv) in
-    let* () = check_edge_flags cov shadow in
-    if Eprocess.blue_steps prod <> Invariant.edges_visited inv then
-      err "blue steps %d but %d edges retired" (Eprocess.blue_steps prod)
-        (Invariant.edges_visited inv)
-    else if Coverage.vertices_visited cov <> Invariant.vertices_visited inv
-    then
-      err "vertex counts diverge: coverage %d, shadow %d"
-        (Coverage.vertices_visited cov)
-        (Invariant.vertices_visited inv)
-    else begin
-      (* Oracle sanity run: same seed, same cap, must also cover. *)
-      let orc = Oracle.Eprocess.create g (Rng.create ~seed:c.seed ()) ~start:0 in
-      let osteps = ref 0 in
-      while
-        (not (Oracle.Eprocess.all_vertices_visited orc))
-        && !osteps < c.max_steps
-      do
-        Oracle.Eprocess.step orc;
-        incr osteps
-      done;
-      if not (Oracle.Eprocess.all_vertices_visited orc) then
-        err "oracle did not cover within %d steps" c.max_steps
-      else if
-        Oracle.Eprocess.blue_steps orc
-        <> Array.fold_left
-             (fun acc b -> if b then acc + 1 else acc)
-             0
-             (Oracle.Eprocess.visited_edges orc)
-      then err "oracle blue steps disagree with its own visited set"
-      else Ok !steps
-    end
 
 let srw_lockstep c =
   let g = c.graph in
@@ -272,14 +220,15 @@ let rotor_lockstep c =
 
 let run_case c =
   match c.mode with
-  | Uar -> eprocess_uar c
-  | Lowest | Highest -> eprocess_lockstep c
+  | Uar | Lowest | Highest -> eprocess_lockstep c
   | Srw_walk -> srw_lockstep c
   | Rotor_walk -> rotor_lockstep c
 
 (* Deterministically-built stock graphs spanning the shapes the paper's
    theorems distinguish: even regular (simple and multigraph), odd
-   regular, hypercube, lollipop, cycle unions. *)
+   regular, hypercube, lollipop, cycle unions — plus one graph whose
+   degree (65) exceeds a machine word, so the marks' multi-word path runs
+   against the oracle. *)
 let stock_graphs () =
   let rng = Rng.create ~seed:42 () in
   [
@@ -293,6 +242,7 @@ let stock_graphs () =
     ("regular3-20", Gen_regular.random_regular_connected rng 20 3);
     ("lollipop8-8", Gen_classic.lollipop 8 8);
     ("petersen", Gen_classic.petersen ());
+    ("complete66", Gen_classic.complete 66);
   ]
 
 let stock_cases ?(seeds = [ 1; 2; 3 ]) ?(modes = all_modes) () =
@@ -407,7 +357,7 @@ let kernel_stopped c eng =
    rule pinned for the deterministic rules.  A 1-walker cooperating engine
    is likewise a single legacy walk.  Multi-walker cooperating streams
    interleave over shared marks — no per-stream shadow applies; those
-   configurations are covered by the lockstep oracle or the uar shadow. *)
+   configurations are covered by the lockstep oracle. *)
 let kernel_monitors c g starts =
   let single = c.k_mode = Engine.Competing || c.k_walkers = 1 in
   if not single then None
@@ -474,10 +424,10 @@ let check_kernel_rotors c eng orc where =
     | None -> Ok ()
   end
 
-(* Every configuration except cooperating-uar: full RNG lockstep, one
-   engine walker-step against one oracle walker-step, comparing the moved
-   walker's position and blue count after each. *)
-let kernel_lockstep c =
+(* Every configuration: full RNG lockstep, one engine walker-step against
+   one oracle walker-step, comparing the moved walker's position and blue
+   count after each. *)
+let run_kernel_case c =
   let g = c.k_graph in
   let starts = kernel_starts g c.k_walkers in
   let eng =
@@ -577,133 +527,6 @@ let kernel_lockstep c =
             | None ->
                 let* () = check_kernel_rotors c eng orc "at end" in
                 Ok !total))
-
-(* Cooperating uar: the engine draws over the swap partition's slot order,
-   so trajectories legitimately diverge from the oracle.  The engine run
-   is instead validated step by step against a naive shared shadow fed by
-   its own observer (edge validity, blue-flag truth, no double retire,
-   global step numbering), then reconciled; a same-seeded oracle run is
-   the cover sanity reference. *)
-let kernel_uar_shadow c =
-  let g = c.k_graph in
-  let m = Graph.m g and n = Graph.n g in
-  let starts = kernel_starts g c.k_walkers in
-  let eng =
-    Engine.create ~mode:Engine.Cooperating Engine.E_uar g
-      (Rng.create ~seed:c.k_seed ())
-      ~starts
-  in
-  let wpos = Array.copy starts in
-  let retired = Array.make m false in
-  let traversed = Array.make m false in
-  let vseen = Array.make n false in
-  let vcount = ref 0 in
-  Array.iter
-    (fun s ->
-      if not vseen.(s) then begin
-        vseen.(s) <- true;
-        incr vcount
-      end)
-    starts;
-  let blue_total = ref 0 in
-  let bad = ref None in
-  let fail fmt =
-    Printf.ksprintf (fun s -> if !bad = None then bad := Some s) fmt
-  in
-  let expect_step = ref 0 in
-  Engine.set_observer eng
-    (Some
-       (fun ~walker ev ->
-         match ev with
-         | Ewalk_obs.Trace.Step { step; vertex; edge; blue } ->
-             incr expect_step;
-             if step <> !expect_step then
-               fail "step %d out of order (expected %d)" step !expect_step;
-             let v = wpos.(walker) in
-             if edge < 0 || edge >= m then
-               fail "step %d: edge %d out of range" step edge
-             else begin
-               let a, b = Graph.endpoints g edge in
-               if a <> v && b <> v then
-                 fail "step %d: edge %d not incident to walker %d at vertex %d"
-                   step edge walker v
-               else if Graph.opposite g edge v <> vertex then
-                 fail "step %d: landing vertex %d is not the opposite endpoint"
-                   step vertex
-               else begin
-                 let has_unvisited = ref false in
-                 for i = 0 to Graph.degree g v - 1 do
-                   if not retired.(Graph.neighbor_edge g v i) then
-                     has_unvisited := true
-                 done;
-                 if blue <> !has_unvisited then
-                   fail "step %d: blue=%b but unvisited incident edges=%b" step
-                     blue !has_unvisited;
-                 if blue then begin
-                   if retired.(edge) then
-                     fail "step %d: blue step re-used retired edge %d" step edge;
-                   retired.(edge) <- true;
-                   incr blue_total
-                 end;
-                 traversed.(edge) <- true;
-                 wpos.(walker) <- vertex;
-                 if not vseen.(vertex) then begin
-                   vseen.(vertex) <- true;
-                   incr vcount
-                 end
-               end
-             end
-         | _ -> ()))
-  ;
-  let cov = Engine.coverage eng in
-  let budget = c.k_max_steps * c.k_walkers in
-  let total = ref 0 in
-  while
-    !bad = None
-    && (not (Coverage.all_vertices_visited cov))
-    && !total < budget
-  do
-    Engine.step eng;
-    incr total
-  done;
-  match !bad with
-  | Some msg -> Error msg
-  | None ->
-      if not (Coverage.all_vertices_visited cov) then
-        err "not covered within %d walker-steps" budget
-      else
-        let* () = check_edge_flags cov traversed in
-        if Engine.blue_steps eng <> !blue_total then
-          err "engine blue steps %d but shadow retired %d edges"
-            (Engine.blue_steps eng) !blue_total
-        else if Coverage.vertices_visited cov <> !vcount then
-          err "vertex counts diverge: coverage %d, shadow %d"
-            (Coverage.vertices_visited cov)
-            !vcount
-        else begin
-          let orc =
-            Oracle.Kernel.create ~mode:Oracle.Kernel.Cooperating
-              Oracle.Kernel.E_uar g
-              (Rng.create ~seed:c.k_seed ())
-              ~starts
-          in
-          let osteps = ref 0 in
-          while
-            (not (Oracle.Kernel.all_vertices_visited orc 0))
-            && !osteps < budget
-          do
-            Oracle.Kernel.step orc;
-            incr osteps
-          done;
-          if not (Oracle.Kernel.all_vertices_visited orc 0) then
-            err "oracle did not cover within %d walker-steps" budget
-          else Ok !total
-        end
-
-let run_kernel_case c =
-  match (c.k_mode, c.k_proc) with
-  | Engine.Cooperating, Engine.E_uar -> kernel_uar_shadow c
-  | _ -> kernel_lockstep c
 
 let stock_kernel_cases ?(walkers = [ 1; 4; 17 ]) ?(seeds = [ 1; 2; 3 ]) () =
   let procs =

@@ -1,20 +1,15 @@
 (** Model-based differential testing: production walks vs the naive
-    {!Oracle} implementations, in RNG lockstep where the step rule is
-    deterministic, under the {!Invariant} monitor everywhere.
+    {!Oracle} implementations, in full RNG lockstep, under the
+    {!Invariant} monitor everywhere.
 
     Each case runs one (graph, seed, mode) triple to vertex cover (or a
     step cap) and cross-checks:
 
-    - [Lowest]/[Highest]: production E-process and oracle consume
+    - [Uar]/[Lowest]/[Highest]: production E-process and oracle consume
       identically-seeded RNG streams and must agree on the position,
       blue/red step counts at {e every} step, and on the full visited-edge
-      set at the end — the swap-partitioned production bookkeeping against
-      the oracle's adjacency scan, bit for bit.
-    - [Uar]: the uniform rule draws from differently-ordered candidate
-      sets on the two sides, so trajectories legitimately diverge; the
-      production run is instead verified per-step by the invariant monitor
-      and its final coverage state is reconciled against the monitor's
-      shadow (visited-edge flags, blue steps = edges visited).
+      set at the end — the production arc marks against the oracle's
+      adjacency scan, bit for bit.
     - [Srw_walk] / [Rotor_walk]: full positional lockstep (and, for the
       rotor, final rotor-offset equality), with the monitor checking edge
       validity and coverage monotonicity.
@@ -22,8 +17,8 @@
     The stock suite covers the shapes the paper's theorems distinguish:
     even-degree regular graphs (where Theorem 1's linear bound and the
     blue-parity structure apply), odd-degree regular graphs, the
-    hypercube, the lollipop, multigraphs with parallel edges, and cycle
-    unions. *)
+    hypercube, the lollipop, multigraphs with parallel edges, cycle
+    unions, and a complete graph whose degree exceeds one machine word. *)
 
 open Ewalk_graph
 
@@ -63,7 +58,7 @@ type report = {
 
 val report_line : report -> string
 (** One-line summary, e.g.
-    ["verified 150 cases (10 graphs x 3 seeds x 5 modes), 81234 steps"]. *)
+    ["verified 165 cases (11 graphs x 3 seeds x 5 modes), 81234 steps"]. *)
 
 val run_suite : ?jobs:int -> case list -> report
 (** Run every case, sharded over an {!Ewalk_par.Pool} of [jobs] domains
@@ -75,17 +70,14 @@ val run_suite : ?jobs:int -> case list -> report
 
     The multi-walker counterpart: [Ewalk_kernel.Engine] vs
     {!Oracle.Kernel} over the same stock graphs, crossed with walker
-    counts and cooperating/competing modes.  Every configuration except
-    cooperating [E_uar] runs in full RNG lockstep — one engine
-    walker-step against one oracle walker-step, comparing the moved
-    walker's position and blue count after each, with final
-    visited-set/vertex-count/rotor-offset reconciliation (per walker in
-    competing mode) — plus per-walker {!Invariant} monitors wherever a
-    stream is a self-contained single walk (all competing configurations,
-    and 1-walker cooperating ones).  Cooperating [E_uar] draws over the
-    swap partition's slot order and legitimately diverges from the
-    oracle; it is validated step by step against a naive shared shadow
-    fed by the engine's own observer instead. *)
+    counts and cooperating/competing modes.  Every configuration runs in
+    full RNG lockstep — one engine walker-step against one oracle
+    walker-step, comparing the moved walker's position and blue count
+    after each, with final visited-set/vertex-count/rotor-offset
+    reconciliation (per walker in competing mode) — plus per-walker
+    {!Invariant} monitors wherever a stream is a self-contained single
+    walk (all competing configurations, and 1-walker cooperating
+    ones). *)
 
 type kernel_case = {
   k_label : string;

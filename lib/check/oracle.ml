@@ -59,7 +59,7 @@ module Eprocess = struct
 
   (* The adjacency slot offsets (in slot order) of [v] whose edge is still
      unvisited.  A blue self-loop contributes both its slots, matching the
-     production [Unvisited.count] convention. *)
+     production [Arc_marks.live] convention. *)
   let unvisited_offsets t v =
     let deg = Graph.degree t.g v in
     let acc = ref [] in
@@ -127,10 +127,8 @@ module Kernel = struct
      — the same derivation [Ewalk_kernel.Packed.of_rng] uses), explicit
      bool-array visited sets (one shared row in cooperating mode, one row
      per walker in competing mode), and adjacency-order offset scans.  In
-     every configuration except cooperating-uar (where the production
-     engine draws over the swap partition's internal slot order) the
-     reference consumes the same draws as the engine and stays in full
-     RNG lockstep. *)
+     every configuration the reference consumes the same draws as the
+     engine and stays in full RNG lockstep. *)
 
   type mode = Cooperating | Competing
   type proc = E_uar | E_lowest | E_highest | Srw_walk | Rotor_walk

@@ -4,19 +4,16 @@
     Each oracle keeps the straightforward state the paper's prose
     describes — an explicit per-edge visited flag, a position, a few
     counters — and chooses its next edge by scanning the adjacency list,
-    with none of the production data structures (no swap-partitioned
-    {!Ewalk.Unvisited}, no {!Ewalk.Coverage}).  They exist to be read and
-    trusted at a glance, and to be driven in lockstep against the
-    production implementations by {!Differential}.
+    with none of the production data structures (no {!Ewalk.Arc_marks},
+    no {!Ewalk.Coverage}).  They exist to be read and trusted at a glance,
+    and to be driven in lockstep against the production implementations
+    by {!Differential}.
 
-    RNG alignment: {!Srw}, {!Rotor}, and {!Eprocess} under the
-    deterministic [Lowest_slot]/[Highest_slot] rules consume random draws
-    in exactly the same order and with the same bounds as their production
-    counterparts, so seeding both sides identically must reproduce the
-    production trajectory bit for bit.  Under [Uar] both sides draw one
-    integer per blue step but index differently-ordered candidate sets, so
-    trajectories legitimately diverge — the differential harness checks
-    that mode through the {!Invariant} monitor instead. *)
+    RNG alignment: every oracle consumes random draws in exactly the same
+    order and with the same bounds as its production counterpart — the
+    uniform rule indexes the unvisited slots in adjacency order on both
+    sides — so seeding both sides identically must reproduce the
+    production trajectory bit for bit. *)
 
 open Ewalk_graph
 module Rng = Ewalk_prng.Rng
@@ -67,13 +64,9 @@ end
     private row per walker in competing mode), and adjacency-order offset
     scans.
 
-    RNG alignment: every configuration except {e cooperating} [E_uar]
-    consumes draws in the same order and with the same bounds as
-    [Ewalk_kernel.Engine], so identical seeding reproduces the engine's
-    trajectory bit for bit (the engine's competing mode scans adjacency
-    order too).  Cooperating [E_uar] indexes the swap partition's slot
-    order on the production side and legitimately diverges — the
-    differential harness checks that mode through a naive shadow. *)
+    RNG alignment: every configuration consumes draws in the same order
+    and with the same bounds as [Ewalk_kernel.Engine], so identical
+    seeding reproduces the engine's trajectory bit for bit. *)
 module Kernel : sig
   type mode = Cooperating | Competing
   type proc = E_uar | E_lowest | E_highest | Srw_walk | Rotor_walk

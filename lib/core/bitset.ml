@@ -1,7 +1,6 @@
 (* Bytes-backed packed bit array.  One bit per index, LSB-first within
-   each byte — the same layout the kernel engine's private visited sets
-   have always used, now shared between the compact data plane, the
-   competing-mode kernel and the snapshot codec. *)
+   each byte — the layout of the kernel engine's per-walker sets and of
+   their snapshot codec. *)
 
 type t = { len : int; bits : Bytes.t }
 
@@ -61,8 +60,7 @@ let fill_all t =
 
 let reset t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
-(* Raw byte views for the kernel engine, which keeps its per-walker sets
-   as plain [Bytes.t] arrays in SoA style. *)
+(* Raw byte view for the kernel engine's step loop. *)
 let unsafe_bytes t = t.bits
 
 let of_bytes ~len bits =

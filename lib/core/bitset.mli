@@ -1,10 +1,10 @@
-(** Packed bit arrays for the compact data plane.
+(** Packed bit arrays.
 
     One bit per index over [Bytes.t], LSB-first within each byte.  Used
-    for the bit-packed visited-arc set of {!Compact}, the kernel engine's
-    per-walker private visited sets, and their snapshot serialization.
-    [get]/[set] are O(1); {!popcount} is O(len/8) and only appears on
-    recount and restore paths, never on the step path. *)
+    for the kernel engine's per-walker edge and vertex sets in their
+    snapshot form ({!Arc_marks.edge_set}).  [get]/[set] are O(1);
+    {!popcount} is O(len/8) and only appears on recount and restore
+    paths, never on the step path. *)
 
 type t
 
@@ -34,7 +34,8 @@ val reset : t -> unit
 
 val unsafe_bytes : t -> Bytes.t
 (** The backing bytes, unpadded length [ceil (length/8)].  Shared, not a
-    copy — the kernel engine's SoA step loops index it directly. *)
+    copy — the kernel engine's step loop indexes its vertex sets
+    directly. *)
 
 val of_bytes : len:int -> Bytes.t -> t
 (** Adopt (share) a backing buffer.  @raise Invalid_argument if the byte

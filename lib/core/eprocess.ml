@@ -1,21 +1,6 @@
 open Ewalk_graph
 module Rng = Ewalk_prng.Rng
 
-type approx = Bloom of { bits_per_edge : int; hashes : int }
-
-(* Approximate visited tracking: a Bloom filter over edge ids replaces
-   the exact partition.  [fp_hits]/[unvisited_queries] quantify the
-   distortion against the exact coverage table, which stays ground
-   truth: a "hit" is a step-time query of a truly-unvisited edge that
-   the filter claimed was visited. *)
-type approx_state = {
-  filter : Bloom.t;
-  mutable fp_hits : int;
-  mutable unvisited_queries : int;
-}
-
-type marks = Exact of Compact.t | Approx of approx_state
-
 type t = {
   g : Graph.t;
   rng : Rng.t;
@@ -25,7 +10,7 @@ type t = {
   mutable blue_steps : int;
   mutable red_steps : int;
   coverage : Coverage.t;
-  marks : marks;
+  marks : Arc_marks.t;
   record_phases : bool;
   mutable current_phase : (phase_kind * int * Graph.vertex) option;
   mutable phases : phase list; (* reversed *)
@@ -49,23 +34,12 @@ and phase = {
   end_vertex : Graph.vertex;
 }
 
-let create ?(rule = Uar) ?(record_phases = false) ?approx g rng ~start =
+let create ?(rule = Uar) ?(record_phases = false) g rng ~start =
   if Graph.n g = 0 then invalid_arg "Eprocess.create: empty graph";
   if start < 0 || start >= Graph.n g then
     invalid_arg "Eprocess.create: start out of range";
   let coverage = Coverage.create g in
   Coverage.record_start coverage start;
-  let marks =
-    match approx with
-    | None -> Exact (Compact.create g)
-    | Some (Bloom { bits_per_edge; hashes }) ->
-        if bits_per_edge < 1 then
-          invalid_arg "Eprocess.create: bits_per_edge < 1";
-        let bits = max 8 (bits_per_edge * Graph.m g) in
-        Approx
-          { filter = Bloom.create ~bits ~hashes; fp_hits = 0;
-            unvisited_queries = 0 }
-  in
   {
     g;
     rng;
@@ -75,7 +49,7 @@ let create ?(rule = Uar) ?(record_phases = false) ?approx g rng ~start =
     blue_steps = 0;
     red_steps = 0;
     coverage;
-    marks;
+    marks = Arc_marks.create g;
     record_phases;
     current_phase = None;
     phases = [];
@@ -89,89 +63,14 @@ let steps t = t.steps
 let blue_steps t = t.blue_steps
 let red_steps t = t.red_steps
 let coverage t = t.coverage
-
-(* Scan [v]'s adjacency against the filter, slot by slot (a self-loop
-   contributes both slots, matching [Compact.count]).  [account] is set
-   only on the step path so accessor calls never disturb the FP stats. *)
-let approx_count ?(account = false) t a v =
-  let deg = Graph.degree t.g v in
-  let c = ref 0 in
-  for i = 0 to deg - 1 do
-    let e = Graph.neighbor_edge t.g v i in
-    let believed = Bloom.mem a.filter e in
-    if account && not (Coverage.edge_visited t.coverage e) then begin
-      a.unvisited_queries <- a.unvisited_queries + 1;
-      if believed then a.fp_hits <- a.fp_hits + 1
-    end;
-    if not believed then incr c
-  done;
-  !c
-
-let approx_nth t a v idx =
-  let deg = Graph.degree t.g v in
-  let seen = ref 0 and found = ref (-1) and i = ref 0 in
-  while !found < 0 && !i < deg do
-    if not (Bloom.mem a.filter (Graph.neighbor_edge t.g v !i)) then begin
-      if !seen = idx then found := Graph.adj_start t.g v + !i;
-      incr seen
-    end;
-    incr i
-  done;
-  assert (!found >= 0);
-  !found
-
-let approx_last t a v =
-  let deg = Graph.degree t.g v in
-  let found = ref (-1) and i = ref (deg - 1) in
-  while !found < 0 && !i >= 0 do
-    if not (Bloom.mem a.filter (Graph.neighbor_edge t.g v !i)) then
-      found := Graph.adj_start t.g v + !i;
-    decr i
-  done;
-  assert (!found >= 0);
-  !found
+let marks t = t.marks
 
 let blue_degree t v =
-  match t.marks with
-  | Exact c -> Compact.count c v
-  | Approx a -> approx_count t a v
+  Arc_marks.live t.marks ~start:(Graph.adj_start t.g v)
+    ~stop:(Graph.adj_stop t.g v)
 
-let unvisited_incident t v =
-  match t.marks with
-  | Exact c -> Compact.incident_edges c v
-  | Approx a ->
-      let deg = Graph.degree t.g v in
-      let seen = Hashtbl.create (2 * deg) in
-      let out = ref [] in
-      for i = deg - 1 downto 0 do
-        let e = Graph.neighbor_edge t.g v i in
-        if (not (Bloom.mem a.filter e)) && not (Hashtbl.mem seen e) then begin
-          Hashtbl.add seen e ();
-          out := e :: !out
-        end
-      done;
-      Array.of_list !out
-
+let unvisited_incident t v = Arc_marks.incident_edges t.marks v
 let in_blue_phase t = blue_degree t t.pos > 0
-
-let approx_mode t =
-  match t.marks with
-  | Exact _ -> None
-  | Approx a ->
-      Some
-        (Bloom
-           {
-             bits_per_edge = Bloom.size a.filter / max 1 (Graph.m t.g);
-             hashes = Bloom.hashes a.filter;
-           })
-
-let approx_filter t =
-  match t.marks with Exact _ -> None | Approx a -> Some a.filter
-
-let approx_distortion t =
-  match t.marks with
-  | Exact _ -> None
-  | Approx a -> Some (a.fp_hits, a.unvisited_queries)
 
 let set_observer t obs = t.observer <- obs
 let set_phase_observer t obs = t.phase_observer <- obs
@@ -216,77 +115,34 @@ let record_phase_transition t next_is_blue =
         emit_phase t now_kind
       end
 
-let choose_blue_slot_exact t c k =
-  let v = t.pos in
+let choose_blue_slot t ~start ~stop k =
   match t.rule with
-  | Uar -> Compact.live_slot c v (Rng.int t.rng k)
-  | Lowest_slot ->
-      let best = ref (Compact.live_slot c v 0) in
-      for i = 1 to k - 1 do
-        let p = Compact.live_slot c v i in
-        if p < !best then best := p
-      done;
-      !best
-  | Highest_slot ->
-      let best = ref (Compact.live_slot c v 0) in
-      for i = 1 to k - 1 do
-        let p = Compact.live_slot c v i in
-        if p > !best then best := p
-      done;
-      !best
+  | Uar -> Arc_marks.nth_live t.marks ~start ~stop (Rng.int t.rng k)
+  | Lowest_slot -> Arc_marks.first_live t.marks ~start ~stop
+  | Highest_slot -> Arc_marks.last_live t.marks ~start ~stop
   | Adversarial f ->
-      let candidates = Compact.incident_edges c v in
+      let candidates = Arc_marks.incident_edges t.marks t.pos in
       let idx = f t candidates in
       let idx = max 0 (min idx (Array.length candidates - 1)) in
-      Compact.slot_with_edge c v candidates.(idx)
-
-let choose_blue_slot_approx t a k =
-  let v = t.pos in
-  match t.rule with
-  | Uar -> approx_nth t a v (Rng.int t.rng k)
-  | Lowest_slot -> approx_nth t a v 0
-  | Highest_slot -> approx_last t a v
-  | Adversarial f ->
-      let candidates = unvisited_incident t v in
-      let idx = f t candidates in
-      let idx = max 0 (min idx (Array.length candidates - 1)) in
-      let e = candidates.(idx) in
-      let deg = Graph.degree t.g v in
-      let found = ref (-1) and i = ref 0 in
-      while !found < 0 && !i < deg do
-        if Graph.neighbor_edge t.g v !i = e then
-          found := Graph.adj_start t.g v + !i;
-        incr i
-      done;
-      assert (!found >= 0);
-      !found
+      Arc_marks.slot_of_edge t.marks t.pos candidates.(idx)
 
 let step t =
   let v = t.pos in
-  let deg = Graph.degree t.g v in
-  if deg = 0 then invalid_arg "Eprocess.step: isolated vertex";
-  let k =
-    match t.marks with
-    | Exact c -> Compact.count c v
-    | Approx a -> approx_count ~account:true t a v
-  in
+  let start = Graph.adj_start t.g v and stop = Graph.adj_stop t.g v in
+  if start = stop then invalid_arg "Eprocess.step: isolated vertex";
+  let k = Arc_marks.live t.marks ~start ~stop in
   let blue = k > 0 in
   record_phase_transition t blue;
   let slot =
-    if blue then
-      match t.marks with
-      | Exact c -> choose_blue_slot_exact t c k
-      | Approx a -> choose_blue_slot_approx t a k
-    else Graph.adj_start t.g v + Rng.int t.rng deg
+    if blue then choose_blue_slot t ~start ~stop k
+    else start + Rng.int t.rng (stop - start)
   in
   let w = Graph.slot_vertex t.g slot in
   let e = Graph.slot_edge t.g slot in
   t.steps <- t.steps + 1;
   if blue then begin
     t.blue_steps <- t.blue_steps + 1;
-    match t.marks with
-    | Exact c -> Compact.retire_edge c e
-    | Approx a -> Bloom.add a.filter e
+    Arc_marks.retire_edge t.marks e
   end
   else t.red_steps <- t.red_steps + 1;
   Coverage.record_edge t.coverage ~step:t.steps e;
@@ -334,7 +190,6 @@ type checkpoint = {
   ck_red_steps : int;
   ck_rng : int64 array;
   ck_coverage : Coverage.state;
-  ck_unvisited : Unvisited.state;
   ck_record_phases : bool;
   ck_current_phase : (phase_kind * int * Graph.vertex) option;
   ck_phases : phase list;
@@ -351,14 +206,6 @@ let checkpoint t =
           "Eprocess.checkpoint: an adversarial rule is a closure and cannot \
            be serialized"
   in
-  let ck_unvisited =
-    match t.marks with
-    | Exact c -> Compact.save c
-    | Approx _ ->
-        invalid_arg
-          "Eprocess.checkpoint: the Bloom visited mode is lossy and cannot \
-           be serialized"
-  in
   {
     ck_rule;
     ck_pos = t.pos;
@@ -367,7 +214,6 @@ let checkpoint t =
     ck_red_steps = t.red_steps;
     ck_rng = Rng.save t.rng;
     ck_coverage = Coverage.save t.coverage;
-    ck_unvisited;
     ck_record_phases = t.record_phases;
     ck_current_phase = t.current_phase;
     ck_phases = List.rev t.phases;
@@ -380,6 +226,11 @@ let of_checkpoint g ck =
     ck.ck_steps < 0 || ck.ck_blue_steps < 0 || ck.ck_red_steps < 0
     || ck.ck_blue_steps + ck.ck_red_steps <> ck.ck_steps
   then invalid_arg "Eprocess.of_checkpoint: inconsistent step counters";
+  (* Every blue step retires a fresh edge and no red step does, so the
+     marks are the coverage's edge set and are rebuilt from it. *)
+  if ck.ck_blue_steps <> ck.ck_coverage.s_edges_seen then
+    invalid_arg "Eprocess.of_checkpoint: blue steps disagree with edges seen";
+  let coverage = Coverage.restore g ck.ck_coverage in
   {
     g;
     rng = Rng.restore ck.ck_rng;
@@ -392,8 +243,8 @@ let of_checkpoint g ck =
     steps = ck.ck_steps;
     blue_steps = ck.ck_blue_steps;
     red_steps = ck.ck_red_steps;
-    coverage = Coverage.restore g ck.ck_coverage;
-    marks = Exact (Compact.restore g ck.ck_unvisited);
+    coverage;
+    marks = Arc_marks.of_coverage g coverage;
     record_phases = ck.ck_record_phases;
     current_phase = ck.ck_current_phase;
     phases = List.rev ck.ck_phases;
@@ -402,16 +253,13 @@ let of_checkpoint g ck =
   }
 
 let process t =
-  let base =
-    match t.rule with
-    | Uar -> "e-process(uar)"
-    | Lowest_slot -> "e-process(lowest-slot)"
-    | Highest_slot -> "e-process(highest-slot)"
-    | Adversarial _ -> "e-process(adversarial)"
-  in
   {
     Cover.name =
-      (match t.marks with Exact _ -> base | Approx _ -> base ^ "[bloom]");
+      (match t.rule with
+      | Uar -> "e-process(uar)"
+      | Lowest_slot -> "e-process(lowest-slot)"
+      | Highest_slot -> "e-process(highest-slot)"
+      | Adversarial _ -> "e-process(adversarial)");
     graph = t.g;
     position = (fun () -> t.pos);
     step = (fun () -> step t);

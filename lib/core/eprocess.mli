@@ -10,9 +10,10 @@
     adversarial online rules, which is why the rule is a first-class
     parameter here.
 
-    The unvisited-edge bookkeeping is O(1) per step for the uniform rule
-    (swap-partition over adjacency slots) and O(degree) for the scanning
-    rules — constant for the bounded-degree graphs the theorems cover.
+    Visited edges are {!Arc_marks}: one bit per adjacency slot, so the
+    count and the choice of an unvisited edge are word operations on the
+    current vertex's slot region.  Every rule sees its candidates in
+    adjacency order.
 
     The process also tracks the red/blue {e phase} structure used throughout
     the paper's proofs: a blue phase is a maximal run of unvisited-edge
@@ -46,25 +47,14 @@ type phase = {
   end_vertex : Graph.vertex;
 }
 
-type approx = Bloom of { bits_per_edge : int; hashes : int }
-(** Opt-in approximate visited tracking for memory-constrained runs: a
-    {!Bloom} filter of [bits_per_edge * m] bits (at least 8) with the
-    given probe count replaces the exact unvisited-arc partition.  False
-    positives make the process believe an unvisited edge is visited and
-    skip it — a blue step degrades to a red one — so cover still
-    completes but the blue/red split is distorted; {!approx_distortion}
-    measures by how much against the exact {!Coverage} table, which
-    stays ground truth.  Approx processes are not checkpointable. *)
-
 val create :
-  ?rule:rule -> ?record_phases:bool -> ?approx:approx -> Graph.t ->
-  Ewalk_prng.Rng.t -> start:Graph.vertex -> t
+  ?rule:rule -> ?record_phases:bool -> Graph.t -> Ewalk_prng.Rng.t ->
+  start:Graph.vertex -> t
 (** [create g rng ~start] initialises the process at [start] with every edge
     unvisited.  Default rule: {!Uar}.  [record_phases] (default [false])
-    retains the full phase log for invariant checking.  [approx] (default
-    exact) switches visited tracking to a Bloom filter.
-    @raise Invalid_argument if [start] is out of range, [g] has no
-    vertices, or the approx parameters are degenerate. *)
+    retains the full phase log for invariant checking.
+    @raise Invalid_argument if [start] is out of range or [g] has no
+    vertices. *)
 
 val graph : t -> Graph.t
 val position : t -> Graph.vertex
@@ -79,27 +69,19 @@ val red_steps : t -> int
 
 val coverage : t -> Coverage.t
 
+val marks : t -> Arc_marks.t
+(** The visited-edge marks (shared, not a copy); they always hold exactly
+    the edges {!coverage} has seen. *)
+
 val blue_degree : t -> Graph.vertex -> int
 (** Number of unvisited edges incident with the vertex right now. *)
 
 val unvisited_incident : t -> Graph.vertex -> Graph.edge array
-(** The unvisited incident edges (fresh array, unspecified order). *)
+(** The unvisited incident edges in adjacency order, a self-loop listed
+    once (fresh array) — the candidates an {!Adversarial} rule sees. *)
 
 val in_blue_phase : t -> bool
 (** [true] iff the {e next} transition would follow an unvisited edge. *)
-
-val approx_mode : t -> approx option
-(** The approximate-visited configuration, [None] for an exact process.
-    [bits_per_edge] is recovered as [size/m] and may round down from the
-    value passed to {!create}. *)
-
-val approx_filter : t -> Bloom.t option
-(** The live filter of an approx process (shared, not a copy). *)
-
-val approx_distortion : t -> (int * int) option
-(** [(fp_hits, unvisited_queries)]: of the step-path membership queries
-    against truly-unvisited edges so far, how many the filter wrongly
-    reported visited.  [None] for an exact process. *)
 
 val step : t -> unit
 (** Perform one transition.  @raise Invalid_argument if the current vertex
@@ -153,13 +135,13 @@ type checkpoint = {
   ck_red_steps : int;
   ck_rng : int64 array;
   ck_coverage : Coverage.state;
-  ck_unvisited : Unvisited.state;
   ck_record_phases : bool;
   ck_current_phase : (phase_kind * int * Graph.vertex) option;
   ck_phases : phase list;
 }
 (** Complete plain-data process state: continuing from a restored
-    checkpoint is bit-identical to never having stopped. *)
+    checkpoint is bit-identical to never having stopped.  The visited marks
+    are not stored: they are the coverage's edge set. *)
 
 val checkpoint : t -> checkpoint
 (** Capture the full state (PRNG words included).
@@ -169,4 +151,5 @@ val of_checkpoint : Graph.t -> checkpoint -> t
 (** Rebuild a process over [g].  The observer is not restored; re-attach
     one with {!set_observer} / {!Observe.attach_eprocess} if needed.
     @raise Invalid_argument if the checkpoint does not fit the graph or
-    its counters are inconsistent. *)
+    its counters are inconsistent (the blue steps must equal the edges
+    seen). *)

@@ -10,29 +10,13 @@ type t = {
   mutable observer : (Ewalk_obs.Trace.event -> unit) option;
 }
 
-let create ?(randomize_rotors = false) ?perm g rng ~start =
+let create ?(randomize_rotors = false) g rng ~start =
   if start < 0 || start >= Graph.n g then
     invalid_arg "Rotor.create: start out of range";
   let rotor =
-    match perm with
-    | None ->
-        Array.init (Graph.n g) (fun v ->
-            let deg = Graph.degree g v in
-            if randomize_rotors && deg > 0 then Rng.int rng deg else 0)
-    | Some perm ->
-        (* [g] is a relabeling of an original graph via [perm]
-           (perm.(old) = new): draw the offsets in original vertex order
-           so the draw sequence — and with it the whole run — stays
-           isomorphic to the unreordered walk. *)
-        if Array.length perm <> Graph.n g then
-          invalid_arg "Rotor.create: permutation length does not match";
-        let r = Array.make (Graph.n g) 0 in
-        for ov = 0 to Graph.n g - 1 do
-          let v = perm.(ov) in
-          let deg = Graph.degree g v in
-          r.(v) <- (if randomize_rotors && deg > 0 then Rng.int rng deg else 0)
-        done;
-        r
+    Array.init (Graph.n g) (fun v ->
+        let deg = Graph.degree g v in
+        if randomize_rotors && deg > 0 then Rng.int rng deg else 0)
   in
   let coverage = Coverage.create g in
   Coverage.record_start coverage start;

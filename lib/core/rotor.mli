@@ -12,16 +12,12 @@ open Ewalk_graph
 type t
 
 val create :
-  ?randomize_rotors:bool -> ?perm:int array -> Graph.t ->
-  Ewalk_prng.Rng.t -> start:Graph.vertex -> t
+  ?randomize_rotors:bool -> Graph.t -> Ewalk_prng.Rng.t ->
+  start:Graph.vertex -> t
 (** Rotors start at slot 0 of each adjacency list, or at uniformly random
-    offsets with [~randomize_rotors:true] (the rng is unused otherwise).
-    When [g] is a {!Ewalk_graph.Graph.relabel}ing of an original graph,
-    pass the permutation ([perm.(old) = new]) so random offsets are drawn
-    in {e original} vertex order — the reordered run then stays
-    isomorphic draw-for-draw to the unreordered one.
-    @raise Invalid_argument if [start] is out of range or [perm] has the
-    wrong length. *)
+    offsets (drawn in vertex order) with [~randomize_rotors:true] (the rng
+    is unused otherwise).
+    @raise Invalid_argument if [start] is out of range. *)
 
 val graph : t -> Graph.t
 val position : t -> Graph.vertex

@@ -132,119 +132,6 @@ let edge_list g =
 
 let edge_array g = Array.init g.m (fun e -> (g.edge_u.(e), g.edge_v.(e)))
 
-(* --- cache-conscious relabeling ------------------------------------- *)
-
-type order = Degree_sort | Bfs | Rcm
-
-let inverse_permutation perm =
-  let n = Array.length perm in
-  let inv = Array.make n (-1) in
-  Array.iteri
-    (fun old_v new_v ->
-      if new_v < 0 || new_v >= n || inv.(new_v) >= 0 then
-        invalid_arg "Graph.inverse_permutation: not a permutation";
-      inv.(new_v) <- old_v)
-    perm;
-  inv
-
-(* Visit order of a BFS over the whole graph: start from [root], scan
-   neighbours of each dequeued vertex in slot order filtered through
-   [rank] (identity for plain BFS, degree-ascending for RCM), restart
-   from the lowest-labelled unreached vertex per component. *)
-let bfs_order g ~root ~rank =
-  let n = g.n in
-  let seen = Array.make n false in
-  let order = Array.make n 0 in
-  let queue = Array.make n 0 in
-  let filled = ref 0 in
-  let enqueue v =
-    if not seen.(v) then begin
-      seen.(v) <- true;
-      queue.(!filled) <- v;
-      incr filled
-    end
-  in
-  let head = ref 0 in
-  let next_root = ref 0 in
-  enqueue root;
-  while !filled < n do
-    if !head = !filled then begin
-      (* next component: lowest unreached label *)
-      while seen.(!next_root) do
-        incr next_root
-      done;
-      enqueue !next_root
-    end
-    else begin
-      let v = queue.(!head) in
-      incr head;
-      order.(!head - 1) <- v;
-      let deg = degree g v in
-      let nbrs = Array.init deg (fun i -> g.adj_vertex.(g.xadj.(v) + i)) in
-      (match rank with
-      | None -> ()
-      | Some r ->
-          Array.sort
-            (fun a b -> if r a <> r b then compare (r a) (r b) else compare a b)
-            nbrs);
-      Array.iter enqueue nbrs
-    end
-  done;
-  while !head < n do
-    let v = queue.(!head) in
-    incr head;
-    order.(!head - 1) <- v
-  done;
-  order
-
-let reorder_permutation g order =
-  let n = g.n in
-  if n = 0 then [||]
-  else
-    let visit_order =
-      match order with
-      | Degree_sort ->
-          let vs = Array.init n (fun v -> v) in
-          Array.sort
-            (fun a b ->
-              if degree g a <> degree g b then compare (degree g a) (degree g b)
-              else compare a b)
-            vs;
-          vs
-      | Bfs -> bfs_order g ~root:0 ~rank:None
-      | Rcm ->
-          let root = ref 0 in
-          for v = n - 1 downto 0 do
-            if degree g v <= degree g !root then root := v
-          done;
-          let o = bfs_order g ~root:!root ~rank:(Some (degree g)) in
-          let rev = Array.make n 0 in
-          for i = 0 to n - 1 do
-            rev.(i) <- o.(n - 1 - i)
-          done;
-          rev
-    in
-    (* visit_order.(new) = old; perm.(old) = new *)
-    let perm = Array.make n 0 in
-    Array.iteri (fun new_v old_v -> perm.(old_v) <- new_v) visit_order;
-    perm
-
-let relabel g perm =
-  if Array.length perm <> g.n then
-    invalid_arg "Graph.relabel: permutation length does not match";
-  ignore (inverse_permutation perm);
-  (* Edge ids and their order are preserved verbatim; only endpoint labels
-     move.  [of_edge_array] assigns each vertex's adjacency slots in
-     global edge order, so every vertex's region keeps its relative slot
-     order — a walk on the relabelled graph is isomorphic draw-for-draw
-     to one on the original. *)
-  of_edge_array ~n:g.n
-    (Array.init g.m (fun e -> (perm.(g.edge_u.(e)), perm.(g.edge_v.(e)))))
-
-let reorder g order =
-  let perm = reorder_permutation g order in
-  (relabel g perm, perm)
-
 let mem_edge g u v =
   let a, b = if degree g u <= degree g v then (u, v) else (v, u) in
   let found = ref false in

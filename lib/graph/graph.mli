@@ -5,8 +5,8 @@
     endpoint; a self-loop owns two slots at the same vertex and contributes 2
     to its degree, the standard convention).  Every walk process in
     [Ewalk] is driven off this structure; the E-process additionally needs
-    the {e slot positions} of each edge ({!edge_positions}) to maintain its
-    unvisited-edge partition in O(1) per step.
+    the {e slot positions} of each edge ({!edge_positions}) to mark both
+    arcs of an edge visited in O(1).
 
     Vertices are [0 .. n-1]; edges are [0 .. m-1] in insertion order. *)
 
@@ -93,44 +93,6 @@ val edge_array : t -> (vertex * vertex) array
 (** All edges in id order (fresh array);
     [of_edge_array ~n:(n g) (edge_array g)] rebuilds the graph
     identically. *)
-
-(** {2 Cache-conscious relabeling}
-
-    Vertex relabeling passes applied before long runs so that vertices
-    visited together sit together in the CSR arrays.  The contract that
-    makes relabeling observable-output-stable: {!relabel} keeps edge ids
-    {e and} the global edge order verbatim — only endpoint labels move —
-    and [of_edge_array] assigns each vertex's adjacency slots in global
-    edge order, so every vertex's region keeps its relative slot order.
-    A walk on the relabelled graph is therefore isomorphic draw-for-draw
-    to one on the original: same PRNG draws, same edge ids, vertex
-    labels mapped through the permutation.  Mapping trace vertices back
-    through {!inverse_permutation} yields byte-identical traces (the
-    equivalence battery in test/test_compact.ml enforces this). *)
-
-type order =
-  | Degree_sort  (** stable sort by ascending degree *)
-  | Bfs  (** breadth-first visit order from vertex 0, slot-order scans *)
-  | Rcm
-      (** reverse Cuthill–McKee: BFS from a minimum-degree vertex with
-          degree-ascending neighbour scans, reversed *)
-
-val reorder_permutation : t -> order -> int array
-(** The relabeling as a permutation: [perm.(old) = new].  Disconnected
-    components are restarted from the lowest unreached label. *)
-
-val relabel : t -> int array -> t
-(** [relabel g perm] rebuilds [g] with vertex [v] renamed [perm.(v)],
-    preserving edge ids and edge order.
-    @raise Invalid_argument if [perm] is not a permutation of
-    [0 .. n-1]. *)
-
-val reorder : t -> order -> t * int array
-(** [reorder g o = (relabel g (reorder_permutation g o), perm)]. *)
-
-val inverse_permutation : int array -> int array
-(** [inv.(new) = old].  @raise Invalid_argument if the input is not a
-    permutation. *)
 
 val mem_edge : t -> vertex -> vertex -> bool
 (** [mem_edge g u v] scans the (shorter) adjacency; O(min degree). *)

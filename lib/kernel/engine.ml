@@ -2,7 +2,7 @@ open Ewalk_graph
 module Trace = Ewalk_obs.Trace
 module Pool = Ewalk_par.Pool
 module Coverage = Ewalk.Coverage
-module Compact = Ewalk.Compact
+module Arc_marks = Ewalk.Arc_marks
 module Bitset = Ewalk.Bitset
 module Cover = Ewalk.Cover
 
@@ -15,18 +15,18 @@ let prefers_unvisited = function
   | E_uar | E_lowest | E_highest -> true
   | Srw | Rotor -> false
 
-(* Cooperating walkers share one visited-edge partition and one coverage
-   table; competing walkers each carry private bit-packed visited sets, so
+(* Cooperating walkers share one set of arc marks and one coverage table;
+   competing walkers each carry private arc marks and vertex sets, so
    their state slices are disjoint and walker blocks can run on separate
    domains. *)
 type shared = {
-  sh_unvisited : Compact.t option; (* E-process rules only *)
+  sh_marks : Arc_marks.t option; (* E-process rules only *)
   sh_coverage : Coverage.t;
   sh_rotor : int array option; (* per-vertex slot offset, Rotor only *)
 }
 
 type priv = {
-  pv_visited : Bitset.t array; (* per-walker edge bitset, m bits *)
+  pv_marks : Arc_marks.t array; (* per walker: every traversed edge *)
   pv_vseen : Bitset.t array; (* per-walker vertex bitset, n bits *)
   pv_vcount : int array;
   pv_ecount : int array;
@@ -54,7 +54,8 @@ type t = {
 }
 
 (* Raw LSB-first bit ops over a bitset's backing bytes — the step-path
-   view of the per-walker {!Bitset}s (same layout, no bounds checks). *)
+   view of the per-walker vertex {!Bitset}s (same layout, no bounds
+   checks). *)
 let bit_get b i = Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 let bit_set b i =
@@ -62,8 +63,7 @@ let bit_set b i =
   Bytes.unsafe_set b j
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get b j) lor (1 lsl (i land 7))))
 
-let create ?(mode = Cooperating) ?(randomize_rotors = true) ?perm proc g rng
-    ~starts =
+let create ?(mode = Cooperating) ?(randomize_rotors = true) proc g rng ~starts =
   let walkers = Array.length starts in
   if walkers = 0 then invalid_arg "Engine.create: no walkers";
   if Graph.n g = 0 then invalid_arg "Engine.create: empty graph";
@@ -72,31 +72,14 @@ let create ?(mode = Cooperating) ?(randomize_rotors = true) ?perm proc g rng
       if v < 0 || v >= Graph.n g then
         invalid_arg "Engine.create: start out of range")
     starts;
-  (match perm with
-  | Some p when Array.length p <> Graph.n g ->
-      invalid_arg "Engine.create: permutation length does not match"
-  | _ -> ());
   let prng = Packed.of_rng rng ~walkers in
   let n = Graph.n g in
   (* Rotor offsets draw from the owning walker's stream, in vertex order —
-     walker 0's draws reproduce the legacy [Rotor.create] sequence.  On a
-     relabelled graph, [perm] redirects the drawing to original vertex
-     order so the reordered engine stays isomorphic draw-for-draw. *)
+     walker 0's draws reproduce the legacy [Rotor.create] sequence. *)
   let init_rotor w =
-    match perm with
-    | None ->
-        Array.init n (fun v ->
-            let deg = Graph.degree g v in
-            if randomize_rotors && deg > 0 then Packed.int prng w deg else 0)
-    | Some perm ->
-        let r = Array.make n 0 in
-        for ov = 0 to n - 1 do
-          let v = perm.(ov) in
-          let deg = Graph.degree g v in
-          r.(v) <-
-            (if randomize_rotors && deg > 0 then Packed.int prng w deg else 0)
-        done;
-        r
+    Array.init n (fun v ->
+        let deg = Graph.degree g v in
+        if randomize_rotors && deg > 0 then Packed.int prng w deg else 0)
   in
   let marks =
     match mode with
@@ -105,8 +88,8 @@ let create ?(mode = Cooperating) ?(randomize_rotors = true) ?perm proc g rng
         Array.iter (fun v -> Coverage.record_start cov v) starts;
         Shared
           {
-            sh_unvisited =
-              (if prefers_unvisited proc then Some (Compact.create g)
+            sh_marks =
+              (if prefers_unvisited proc then Some (Arc_marks.create g)
                else None);
             sh_coverage = cov;
             sh_rotor = (if proc = Rotor then Some (init_rotor 0) else None);
@@ -114,8 +97,7 @@ let create ?(mode = Cooperating) ?(randomize_rotors = true) ?perm proc g rng
     | Competing ->
         let pv =
           {
-            pv_visited =
-              Array.init walkers (fun _ -> Bitset.create (Graph.m g));
+            pv_marks = Array.init walkers (fun _ -> Arc_marks.create g);
             pv_vseen = Array.init walkers (fun _ -> Bitset.create n);
             pv_vcount = Array.make walkers 0;
             pv_ecount = Array.make walkers 0;
@@ -192,6 +174,11 @@ let coverage t =
   | Shared sh -> sh.sh_coverage
   | Private _ -> invalid_arg "Engine.coverage: competing mode has no shared coverage"
 
+let marks t =
+  match t.marks with
+  | Shared { sh_marks = Some m; _ } -> m
+  | _ -> invalid_arg "Engine.marks: not a cooperating e-process engine"
+
 let walker_vertices_visited t w =
   match t.marks with
   | Private pv -> pv.pv_vcount.(w)
@@ -206,7 +193,7 @@ let walker_edges_visited t w =
 
 let walker_edge_visited t w e =
   match t.marks with
-  | Private pv -> Bitset.get pv.pv_visited.(w) e
+  | Private pv -> Arc_marks.edge_retired pv.pv_marks.(w) e
   | Shared _ ->
       invalid_arg "Engine.walker_edge_visited: cooperating mode is shared"
 
@@ -269,47 +256,40 @@ let record_phase_transition t w ~stamp ~vertex next_is_blue =
            })
   end
 
+(* The blue choice of the three E-process rules over a walker's marks:
+   the functions the single-walker loop calls, in adjacency order. *)
+let blue_slot t marks pw ~start ~stop k =
+  match t.proc with
+  | E_uar -> Arc_marks.nth_live marks ~start ~stop (Packed.int t.prng pw k)
+  | E_lowest -> Arc_marks.first_live marks ~start ~stop
+  | E_highest -> Arc_marks.last_live marks ~start ~stop
+  | Srw | Rotor -> assert false
+
 let step_shared t sh w =
   let v = t.pos.(w) in
-  let deg = Graph.degree t.g v in
+  let start = Graph.adj_start t.g v and stop = Graph.adj_stop t.g v in
+  let deg = stop - start in
   if deg = 0 then invalid_arg "Engine.step: isolated vertex";
   let pw = match t.fault with Some Reuse_prng_word -> 0 | _ -> w in
   let blue, slot =
-    match sh.sh_unvisited with
-    | Some unv ->
-        let k = Compact.count unv v in
+    match sh.sh_marks with
+    | Some marks ->
+        let k = Arc_marks.live marks ~start ~stop in
         let blue = k > 0 && t.fault <> Some Skip_preference in
         record_phase_transition t w ~stamp:t.gsteps ~vertex:v blue;
         let slot =
-          if blue then
-            match t.proc with
-            | E_uar -> Compact.live_slot unv v (Packed.int t.prng pw k)
-            | E_lowest ->
-                let best = ref (Compact.live_slot unv v 0) in
-                for i = 1 to k - 1 do
-                  let p = Compact.live_slot unv v i in
-                  if p < !best then best := p
-                done;
-                !best
-            | E_highest ->
-                let best = ref (Compact.live_slot unv v 0) in
-                for i = 1 to k - 1 do
-                  let p = Compact.live_slot unv v i in
-                  if p > !best then best := p
-                done;
-                !best
-            | Srw | Rotor -> assert false
-          else Graph.adj_start t.g v + Packed.int t.prng pw deg
+          if blue then blue_slot t marks pw ~start ~stop k
+          else start + Packed.int t.prng pw deg
         in
         (blue, slot)
     | None -> (
         match t.proc with
-        | Srw -> (false, Graph.adj_start t.g v + Packed.int t.prng pw deg)
+        | Srw -> (false, start + Packed.int t.prng pw deg)
         | Rotor ->
             let rot = Option.get sh.sh_rotor in
             let r = rot.(v) in
             rot.(v) <- (r + 1) mod deg;
-            (false, Graph.adj_start t.g v + r)
+            (false, start + r)
         | E_uar | E_lowest | E_highest -> assert false)
   in
   let target = Graph.slot_vertex t.g slot in
@@ -318,7 +298,7 @@ let step_shared t sh w =
   t.wsteps.(w) <- t.wsteps.(w) + 1;
   if blue then begin
     t.wblue.(w) <- t.wblue.(w) + 1;
-    Compact.retire_edge (Option.get sh.sh_unvisited) e
+    Arc_marks.retire_edge (Option.get sh.sh_marks) e
   end
   else t.wred.(w) <- t.wred.(w) + 1;
   Coverage.record_edge sh.sh_coverage ~step:t.gsteps e;
@@ -331,84 +311,44 @@ let step_shared t sh w =
   Coverage.record_move sh.sh_coverage ~step:t.gsteps target;
   emit_step_ev t w (Trace.Step { step = t.gsteps; vertex = target; edge = e; blue })
 
-(* Competing mode scans the adjacency slots of [v] against the walker's
-   private edge bitset — the same order the naive oracle uses, so a
-   competing walker and [Oracle.Eprocess] on the same stream stay in full
-   RNG lockstep.  A self-loop contributes both its slots, matching the
-   shared [Unvisited.count] convention. *)
-let unvisited_count_priv t pv w v =
-  let deg = Graph.degree t.g v in
-  let vis = Bitset.unsafe_bytes pv.pv_visited.(w) in
-  let c = ref 0 in
-  for i = 0 to deg - 1 do
-    if not (bit_get vis (Graph.neighbor_edge t.g v i)) then incr c
-  done;
-  !c
-
-let nth_unvisited_priv t pv w v idx =
-  let deg = Graph.degree t.g v in
-  let vis = Bitset.unsafe_bytes pv.pv_visited.(w) in
-  let seen = ref 0 and found = ref (-1) and i = ref 0 in
-  while !found < 0 && !i < deg do
-    if not (bit_get vis (Graph.neighbor_edge t.g v !i)) then begin
-      if !seen = idx then found := !i;
-      incr seen
-    end;
-    incr i
-  done;
-  assert (!found >= 0);
-  !found
-
-let last_unvisited_priv t pv w v =
-  let deg = Graph.degree t.g v in
-  let vis = Bitset.unsafe_bytes pv.pv_visited.(w) in
-  let found = ref (-1) and i = ref (deg - 1) in
-  while !found < 0 && !i >= 0 do
-    if not (bit_get vis (Graph.neighbor_edge t.g v !i)) then found := !i;
-    decr i
-  done;
-  assert (!found >= 0);
-  !found
-
+(* Competing walkers step on private marks that record every traversed
+   edge (a red step's edge is already marked for the E-process rules, so
+   they double as the preference state). *)
 let step_private t pv w =
   let v = t.pos.(w) in
-  let deg = Graph.degree t.g v in
+  let start = Graph.adj_start t.g v and stop = Graph.adj_stop t.g v in
+  let deg = stop - start in
   if deg = 0 then invalid_arg "Engine.step: isolated vertex";
   let pw = match t.fault with Some Reuse_prng_word -> 0 | _ -> w in
   let stamp = t.wsteps.(w) in
-  let blue, off =
+  let marks = pv.pv_marks.(w) in
+  let blue, slot =
     match t.proc with
     | E_uar | E_lowest | E_highest ->
-        let k = unvisited_count_priv t pv w v in
+        let k = Arc_marks.live marks ~start ~stop in
         let blue = k > 0 && t.fault <> Some Skip_preference in
         record_phase_transition t w ~stamp ~vertex:v blue;
-        let off =
-          if blue then
-            match t.proc with
-            | E_uar -> nth_unvisited_priv t pv w v (Packed.int t.prng pw k)
-            | E_lowest -> nth_unvisited_priv t pv w v 0
-            | E_highest -> last_unvisited_priv t pv w v
-            | Srw | Rotor -> assert false
-          else Packed.int t.prng pw deg
+        let slot =
+          if blue then blue_slot t marks pw ~start ~stop k
+          else start + Packed.int t.prng pw deg
         in
-        (blue, off)
-    | Srw -> (false, Packed.int t.prng pw deg)
+        (blue, slot)
+    | Srw -> (false, start + Packed.int t.prng pw deg)
     | Rotor ->
         let rot = Option.get pv.pv_rotor in
         let base = w * Graph.n t.g in
         let r = rot.(base + v) in
         rot.(base + v) <- (r + 1) mod deg;
-        (false, r)
+        (false, start + r)
   in
-  let e = Graph.neighbor_edge t.g v off in
-  let target = Graph.neighbor t.g v off in
+  let e = Graph.slot_edge t.g slot in
+  let target = Graph.slot_vertex t.g slot in
   let stamp' = stamp + 1 in
   t.wsteps.(w) <- stamp';
   if blue then t.wblue.(w) <- t.wblue.(w) + 1
   else t.wred.(w) <- t.wred.(w) + 1;
-  let vis = Bitset.unsafe_bytes pv.pv_visited.(w) in
-  if not (bit_get vis e) then begin
-    bit_set vis e;
+  if not (Arc_marks.edge_retired marks e) then begin
+    Arc_marks.retire_edge marks e;
     pv.pv_ecount.(w) <- pv.pv_ecount.(w) + 1
   end;
   let dest =
@@ -541,7 +481,6 @@ type checkpoint = {
   ck_wred : int array;
   ck_prng : int64 array;
   ck_coverage : Coverage.state;
-  ck_unvisited : Ewalk.Unvisited.state option;
   ck_rotor : int array option;
   ck_phase : (phase_kind * int * Graph.vertex) option array;
 }
@@ -563,7 +502,6 @@ let checkpoint t =
         ck_wred = Array.copy t.wred;
         ck_prng = Packed.save t.prng;
         ck_coverage = Coverage.save sh.sh_coverage;
-        ck_unvisited = Option.map Compact.save sh.sh_unvisited;
         ck_rotor = Option.map Array.copy sh.sh_rotor;
         ck_phase = Array.copy t.phase;
       }
@@ -597,12 +535,11 @@ let of_checkpoint g ck =
   if !sum <> ck.ck_steps then
     invalid_arg "Engine.of_checkpoint: inconsistent step counters";
   let prefers = prefers_unvisited ck.ck_proc in
-  (match ck.ck_unvisited with
-  | Some _ when not prefers ->
-      invalid_arg "Engine.of_checkpoint: unexpected unvisited state"
-  | None when prefers ->
-      invalid_arg "Engine.of_checkpoint: missing unvisited state"
-  | _ -> ());
+  (* Every blue step retires a fresh edge of the shared marks and no red
+     step does, so the marks are the coverage's edge set and are rebuilt
+     from it. *)
+  if prefers && Array.fold_left ( + ) 0 ck.ck_wblue <> ck.ck_coverage.s_edges_seen
+  then invalid_arg "Engine.of_checkpoint: blue steps disagree with edges seen";
   (match ck.ck_rotor with
   | Some r ->
       if ck.ck_proc <> Rotor then
@@ -618,14 +555,16 @@ let of_checkpoint g ck =
   | None ->
       if ck.ck_proc = Rotor then
         invalid_arg "Engine.of_checkpoint: missing rotor state");
+  let coverage = Coverage.restore g ck.ck_coverage in
   {
     g;
     proc = ck.ck_proc;
     marks =
       Shared
         {
-          sh_unvisited = Option.map (Compact.restore g) ck.ck_unvisited;
-          sh_coverage = Coverage.restore g ck.ck_coverage;
+          sh_marks =
+            (if prefers then Some (Arc_marks.of_coverage g coverage) else None);
+          sh_coverage = coverage;
           sh_rotor = Option.map Array.copy ck.ck_rotor;
         };
     pos = Array.copy ck.ck_pos;
@@ -674,7 +613,7 @@ let checkpoint_competing t =
         cc_wblue = Array.copy t.wblue;
         cc_wred = Array.copy t.wred;
         cc_prng = Packed.save t.prng;
-        cc_visited = Array.map Bitset.copy pv.pv_visited;
+        cc_visited = Array.map Arc_marks.edge_set pv.pv_marks;
         cc_vseen = Array.map Bitset.copy pv.pv_vseen;
         cc_vcount = Array.copy pv.pv_vcount;
         cc_ecount = Array.copy pv.pv_ecount;
@@ -769,7 +708,7 @@ let of_checkpoint_competing g ck =
     marks =
       Private
         {
-          pv_visited = Array.map Bitset.copy ck.cc_visited;
+          pv_marks = Array.map (Arc_marks.of_edge_set g) ck.cc_visited;
           pv_vseen = Array.map Bitset.copy ck.cc_vseen;
           pv_vcount = vcount;
           pv_ecount = ecount;

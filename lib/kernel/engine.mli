@@ -4,26 +4,25 @@
     lockstep, with all per-walker state held struct-of-arrays style: a flat
     [int array] of positions, a {!Packed} bank of per-walker xoshiro256++
     words (walker [w] draws from [Rng.stream root w], so no two walkers
-    ever share a PRNG stream), and — in competing mode — bit-packed
-    per-walker visited-edge sets.
+    ever share a PRNG stream), and {!Ewalk.Arc_marks} visited-edge marks.
 
     Two marking disciplines:
 
-    - {e cooperating}: all walkers share one {!Ewalk.Unvisited} partition
-      and one {!Ewalk.Coverage} table — a blue edge retired by any walker
+    - {e cooperating}: all walkers share one set of marks and one
+      {!Ewalk.Coverage} table — a blue edge retired by any walker
       is gone for every walker.  Steps advance a global clock; the engine
       is checkpointable and exposes a {!Ewalk.Cover.process} adapter.  A
       1-walker cooperating engine is bit-identical to the legacy
       single-walker loop: same draws, same trace events, same tables.
-    - {e competing}: every walker carries private visited sets, so walkers
-      are mutually independent and walker blocks shard across domains via
-      {!Ewalk_par.Pool} ({!run_rounds}) with results independent of the
-      job count.  Step clocks are walker-local.
+    - {e competing}: every walker carries private marks and a private
+      vertex set, so walkers are mutually independent and walker blocks
+      shard across domains via {!Ewalk_par.Pool} ({!run_rounds}) with
+      results independent of the job count.  Step clocks are
+      walker-local.
 
-    E-process blue choices in competing mode scan adjacency-slot order
-    (exactly the naive {!Ewalk_check.Oracle} protocol); cooperating mode
-    uses the production swap-partition ({!Ewalk.Unvisited}) like the
-    legacy loop. *)
+    E-process blue choices in both modes index the live slots in adjacency
+    order with the functions {!Ewalk.Eprocess} uses — exactly the naive
+    [Ewalk_check.Oracle] protocol. *)
 
 open Ewalk_graph
 
@@ -46,7 +45,6 @@ type t
 val create :
   ?mode:mode ->
   ?randomize_rotors:bool ->
-  ?perm:int array ->
   proc ->
   Graph.t ->
   Ewalk_prng.Rng.t ->
@@ -57,13 +55,9 @@ val create :
     [Rng.stream rng w].  [mode] defaults to [Cooperating];
     [randomize_rotors] (default [true]) seeds rotor offsets from the
     owning walker's stream like [Rotor.create ~randomize_rotors:true].
-    When [g] is a {!Ewalk_graph.Graph.relabel}ing of an original graph,
-    pass the permutation ([perm.(old) = new]) so rotor offsets are drawn
-    in {e original} vertex order and the reordered engine stays
-    isomorphic draw-for-draw (see {!Ewalk_graph.Graph.reorder}).
     [rng] itself is not advanced.
-    @raise Invalid_argument on an empty graph, no walkers, a start
-    out of range, or a [perm] of the wrong length. *)
+    @raise Invalid_argument on an empty graph, no walkers, or a start
+    out of range. *)
 
 val create_spread :
   ?mode:mode ->
@@ -152,6 +146,11 @@ val coverage : t -> Ewalk.Coverage.t
 (** The shared coverage table.  @raise Invalid_argument in competing
     mode. *)
 
+val marks : t -> Ewalk.Arc_marks.t
+(** Cooperating E-process engines: the shared visited-edge marks (not a
+    copy), which always hold exactly the edges {!coverage} has seen.
+    @raise Invalid_argument otherwise. *)
+
 val walker_vertices_visited : t -> int -> int
 (** Competing mode: vertices walker [w] has seen (its start counts).
     @raise Invalid_argument in cooperating mode; likewise the three
@@ -197,7 +196,6 @@ type checkpoint = {
   ck_wred : int array;
   ck_prng : int64 array;  (** {!Packed.save} words, walker-major *)
   ck_coverage : Ewalk.Coverage.state;
-  ck_unvisited : Ewalk.Unvisited.state option;  (** E-process rules only *)
   ck_rotor : int array option;  (** Rotor only *)
   ck_phase : (phase_kind * int * Graph.vertex) option array;
 }
@@ -208,8 +206,12 @@ val checkpoint : t -> checkpoint
 
 val of_checkpoint : Graph.t -> checkpoint -> t
 (** Rebuild an engine that continues bit-identically to the one
-    checkpointed.  Observers and faults are not restored.
-    @raise Invalid_argument on any internally inconsistent record. *)
+    checkpointed.  The E-process rules' shared marks are rebuilt from the
+    coverage's edge set, which they always equal.  Observers and faults
+    are not restored.
+    @raise Invalid_argument on any internally inconsistent record, among
+    them an E-process record whose blue steps differ from its edges
+    seen. *)
 
 (** {1 Checkpointing (competing mode)} *)
 
@@ -221,7 +223,8 @@ type competing_checkpoint = {
   cc_wblue : int array;
   cc_wred : int array;
   cc_prng : int64 array;  (** {!Packed.save} words, walker-major *)
-  cc_visited : Ewalk.Bitset.t array;  (** per-walker edge bitsets, m bits *)
+  cc_visited : Ewalk.Bitset.t array;
+      (** per-walker traversed edges, m bits ({!Ewalk.Arc_marks.edge_set}) *)
   cc_vseen : Ewalk.Bitset.t array;  (** per-walker vertex bitsets, n bits *)
   cc_vcount : int array;
       (** serialized for inspectability only — restore recomputes *)

@@ -1,7 +1,7 @@
 (** W cooperating E-process walkers — the legacy [Ewalk.Team] interface,
     now a thin veneer over the lockstep {!Engine}.
 
-    The walkers share one unvisited-edge partition and one coverage table
+    The walkers share one set of visited-edge marks and one coverage table
     and move in round-robin lockstep.  Unlike the original closure-based
     implementation, which drew every walker's randomness from one shared
     generator, each walker [i] now owns PRNG stream [Rng.stream rng i]

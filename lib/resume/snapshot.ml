@@ -61,14 +61,6 @@ let coverage_json (s : Ewalk.Coverage.state) =
       ("edge_cover_step", Json.Int s.s_edge_cover_step);
     ]
 
-let unvisited_json (s : Ewalk.Unvisited.state) =
-  Json.Obj
-    [
-      ("slot_list", int_array s.s_slot_list);
-      ("slot_index", int_array s.s_slot_index);
-      ("counts", int_array s.s_counts);
-    ]
-
 let phase_kind_name = function
   | Ewalk.Eprocess.Blue -> "blue"
   | Ewalk.Eprocess.Red -> "red"
@@ -106,7 +98,6 @@ let payload_of_walk walk =
             ("red_steps", Json.Int ck.ck_red_steps);
             ("rng", rng_words ck.ck_rng);
             ("coverage", coverage_json ck.ck_coverage);
-            ("unvisited", unvisited_json ck.ck_unvisited);
             ("record_phases", Json.Bool ck.ck_record_phases);
             ( "current_phase",
               match ck.ck_current_phase with
@@ -242,10 +233,6 @@ let payload_of_walk walk =
             ("wred", int_array ck.Kengine.ck_wred);
             ("prng", rng_words ck.Kengine.ck_prng);
             ("coverage", coverage_json ck.Kengine.ck_coverage);
-            ( "unvisited",
-              match ck.Kengine.ck_unvisited with
-              | None -> Json.Null
-              | Some u -> unvisited_json u );
             ( "rotor",
               match ck.Kengine.ck_rotor with
               | None -> Json.Null
@@ -321,12 +308,19 @@ let coverage_of_json j : Ewalk.Coverage.state =
     s_edge_cover_step = get_int "edge_cover_step" j;
   }
 
-let unvisited_of_json j : Ewalk.Unvisited.state =
-  {
-    s_slot_list = get_int_array "slot_list" j;
-    s_slot_index = get_int_array "slot_index" j;
-    s_counts = get_int_array "counts" j;
-  }
+(* Snapshots written while the E-process kept its visited edges in a swap
+   partition carry that partition as an [unvisited] section.  Their UAR
+   draws indexed the partition's private slot order, so continuing one
+   under adjacency-order marks would silently change its trajectory:
+   refuse it instead. *)
+let carries_partition j =
+  match Json.member "unvisited" j with None | Some Json.Null -> false | Some _ -> true
+
+let partition_refusal =
+  "payload carries an \"unvisited\" section: it was written under the \
+   swap-partition coupling and cannot resume draw-for-draw"
+
+let refuse_partition j = if carries_partition j then raise (Bad partition_refusal)
 
 let phase_kind_of_string name = function
   | "blue" -> Ewalk.Eprocess.Blue
@@ -353,6 +347,7 @@ let walk_of_payload g j =
             n m (Graph.n g) (Graph.m g)));
   match get_string "kind" j with
   | "eprocess" ->
+      refuse_partition j;
       let ck : Ewalk.Eprocess.checkpoint =
         {
           ck_rule =
@@ -367,7 +362,6 @@ let walk_of_payload g j =
           ck_red_steps = get_int "red_steps" j;
           ck_rng = get_rng_words "rng" j;
           ck_coverage = coverage_of_json (field "coverage" j);
-          ck_unvisited = unvisited_of_json (field "unvisited" j);
           ck_record_phases = get_bool "record_phases" j;
           ck_current_phase =
             (match field "current_phase" j with
@@ -406,6 +400,7 @@ let walk_of_payload g j =
       in
       Rotor (Ewalk.Rotor.of_checkpoint g ck)
   | "kernel" ->
+      refuse_partition j;
       let proc =
         match get_string "proc" j with
         | "e-uar" -> Kengine.E_uar
@@ -447,10 +442,6 @@ let walk_of_payload g j =
           ck_wred = get_int_array "wred" j;
           ck_prng = get_rng_words "prng" j;
           ck_coverage = coverage_of_json (field "coverage" j);
-          ck_unvisited =
-            (match field "unvisited" j with
-            | Json.Null -> None
-            | u -> Some (unvisited_of_json u));
           ck_rotor =
             (match field "rotor" j with
             | Json.Null -> None
@@ -681,6 +672,8 @@ let hex_popcounts name j =
 let describe ~path =
   match read_payload ~path with
   | Error _ as e -> e
+  | Ok (payload, _) when carries_partition payload ->
+      Error (Mismatch partition_refusal)
   | Ok (payload, run) -> (
       try
         let kind = get_string "kind" payload in

@@ -2,10 +2,18 @@
 
     A snapshot captures everything a walk process needs to continue
     bit-identically after a crash: position, step and phase counters,
-    the {!Ewalk.Coverage} arrays, the {!Ewalk.Unvisited} partition and the
-    exact PRNG state words.  Restoring a snapshot and stepping on produces
-    the same states, traces and final coverage as a run that was never
-    interrupted — the property the qcheck round-trip suite enforces.
+    the {!Ewalk.Coverage} arrays and the exact PRNG state words.  The
+    visited-edge marks of the E-process rules are not stored: they always
+    equal the coverage's edge set, so restore rebuilds them from it (and
+    rejects a payload whose blue steps differ from its edges seen).
+    Restoring a snapshot and stepping on produces the same states, traces
+    and final coverage as a run that was never interrupted — the property
+    the qcheck round-trip suite enforces.
+
+    A payload that still carries an [unvisited] section was written while
+    the marks were a swap partition whose private slot order the uniform
+    rule's draws indexed; it is refused as {!Mismatch} rather than
+    continued under a different coupling.
 
     {2 File format}
 
@@ -41,8 +49,8 @@ type walk =
       (** The processes that can be snapshotted.  [Kernel] carries a
           multi-walker engine in either mode: a cooperating engine
           serializes under payload kind ["kernel"] (positions, per-walker
-          step/phase counters, shared coverage/partition and the packed
-          PRNG bank), a competing engine under the v2-only kind
+          step/phase counters, shared coverage and the packed PRNG bank),
+          a competing engine under the v2-only kind
           ["kernel-competing"] (per-walker bit-packed visited sets as hex
           strings, plus the derived visit counters for inspectability —
           restore recomputes them by popcount and rejects disagreement,
@@ -61,8 +69,9 @@ type error =
   | Io of string  (** file unreadable / unwritable *)
   | Corrupt of string  (** torn, truncated, tampered or non-JSON file *)
   | Mismatch of string
-      (** valid file, wrong world: unknown schema, wrong graph, or a
-          payload that fails the state validators *)
+      (** valid file, wrong world: unknown schema, wrong graph, a
+          payload written under the swap-partition coupling, or one that
+          fails the state validators *)
 
 val error_to_string : error -> string
 
@@ -89,4 +98,5 @@ val describe : path:string -> (string, error) result
     payloads the stored per-walker visit counters are cross-checked
     against the bitset popcounts; the summary carries the verdict
     marker [counter==popcount] on success and the file is reported
-    {!Corrupt} on disagreement. *)
+    {!Corrupt} on disagreement.  A payload written under the
+    swap-partition coupling is reported {!Mismatch}, as {!read} would. *)

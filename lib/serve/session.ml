@@ -237,6 +237,13 @@ let materialize t ~graph ~rng =
   | None ->
       if Sys.file_exists (snapshot_path t) then (
         match Snapshot.read graph ~path:(snapshot_path t) with
+        | Error (Snapshot.Mismatch _ as e) ->
+            (* A well-formed snapshot this build cannot resume (e.g. one
+               written under an older coupling): the session's state is
+               intact on disk, so say so rather than report a fault. *)
+            Error
+              (Proto.err 409 "snapshot_mismatch"
+                 ("snapshot read: " ^ Snapshot.error_to_string e))
         | Error e ->
             Error
               (Proto.internal ("snapshot read: " ^ Snapshot.error_to_string e))

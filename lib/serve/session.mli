@@ -67,7 +67,10 @@ val materialize :
 (** Make the session resident: restore the snapshot recorded on [graph],
     or — when no snapshot exists (a recovered session that never
     hibernated) — rebuild the fresh walk from [rng] exactly as {!create}
-    did.  No-op when already resident. *)
+    did.  A snapshot that is well formed but cannot be resumed (a
+    [Snapshot.Mismatch], such as one written under the swap-partition
+    coupling) is a 409 [snapshot_mismatch]; other read failures are a
+    500.  No-op when already resident. *)
 
 val step : ?pool:Ewalk_par.Pool.t -> t -> int -> (int, Proto.error) result
 (** Advance exactly [k] steps (multi-walker sessions batch whole rounds

@@ -1,36 +1,29 @@
-(* The compact-data-plane equivalence battery (gating `make test-compact`,
-   part of `make ci`):
+(* The compact-data-plane battery (gating `make test-compact`, part of
+   `make ci`):
 
    - the packed {!Ewalk.Bitset} against a boolean-array reference model
      (qcheck over random op sequences, with shrinking), plus the hex wire
      format round trip;
-   - the {!Ewalk.Compact} unvisited-arc partition against the legacy
-     {!Ewalk.Unvisited} swap-partition, draw-for-draw: identical live-slot
-     enumeration after every retirement means any consumer making the same
-     PRNG calls draws identically;
-   - full-run trace byte-equality across the five processes, the three
-     cache-conscious reorders (vertices mapped back through the inverse
-     permutation), the kernel engine at W in {1,4}, and competing
-     run_rounds at jobs in {1,4};
-   - mutation kills: with Compact.set_fault injecting a broken
-     swap-to-back or a stale popcount, this battery must detect the
-     defect — proving it would catch a real one;
-   - the Bloom approximate-visited characterization: cover still
-     completes, and the measured false-positive rate stays within the
-     textbook bound (with slack for double hashing). *)
+   - the {!Ewalk.Arc_marks} slot marks against a boolean-array model under
+     any retirement order, on multigraphs with self-loops, parallel edges
+     and regions wider than one machine word;
+   - the invariant that lets snapshots drop the marks: after every step of
+     an E-process (all three rules) and of a cooperating engine (W in
+     {1,4}) on generated pairing multigraphs, a slot is marked exactly
+     when coverage has seen its edge;
+   - the kernel engine's visited edges against the naive oracle after
+     every step, per configuration, and competing run_rounds at jobs in
+     {1,4}. *)
 
 module Graph = Ewalk_graph.Graph
+module Gen_regular = Ewalk_graph.Gen_regular
 module Rng = Ewalk_prng.Rng
 module Bitset = Ewalk.Bitset
-module Compact = Ewalk.Compact
-module Unvisited = Ewalk.Unvisited
-module Bloom = Ewalk.Bloom
+module Arc_marks = Ewalk.Arc_marks
 module Eprocess = Ewalk.Eprocess
-module Srw = Ewalk.Srw
-module Rotor = Ewalk.Rotor
 module Coverage = Ewalk.Coverage
-module Trace = Ewalk_obs.Trace
 module Kengine = Ewalk_kernel.Engine
+module Oracle = Ewalk_check.Oracle
 module Exp_util = Ewalk_expt.Exp_util
 
 let qcheck = QCheck_alcotest.to_alcotest
@@ -100,26 +93,35 @@ let bitset_edges () =
     (Invalid_argument "Bitset.get: index out of range") (fun () ->
       ignore (Bitset.get b 9))
 
-(* -- Compact partition vs legacy Unvisited ---------------------------------- *)
+(* -- Arc_marks vs boolean-array model ---------------------------------------- *)
 
-(* The draw-for-draw contract: after any retirement sequence, both
-   partitions present the same live count and the same slot enumeration at
-   every vertex, so a walk drawing [Rng.int (count v)] on top of either
-   takes identical steps. *)
-let partitions_agree what g c u =
+(* A pairing multigraph: [r]-regular with self-loops and parallel edges.
+   [n * r] is made even by bumping [n]. *)
+let pairing g_seed ~n ~r =
+  let n = if n * r mod 2 = 1 then n + 1 else n in
+  Gen_regular.pairing_multigraph (Rng.create ~seed:g_seed ()) n r
+
+(* The live slots of [v] as the marks enumerate them, and as a per-edge
+   visited predicate says they should be: every slot of [v]'s region whose
+   edge is unvisited, in adjacency order. *)
+let live_slots g marks v =
+  let start = Graph.adj_start g v and stop = Graph.adj_stop g v in
+  List.init (Arc_marks.live marks ~start ~stop) (Arc_marks.nth_live marks ~start ~stop)
+
+let expected_live g visited v =
+  List.filter
+    (fun p -> not (visited (Graph.slot_edge g p)))
+    (List.init (Graph.degree g v) (fun i -> Graph.adj_start g v + i))
+
+let vertex_agrees g marks visited v =
+  live_slots g marks v = expected_live g visited v
+
+let marks_agree g marks visited =
+  let ok = ref true in
   for v = 0 to Graph.n g - 1 do
-    let cc = Compact.count c v and cu = Unvisited.count u v in
-    if cc <> cu then
-      Alcotest.failf "%s: count at v=%d: compact %d, legacy %d" what v cc cu;
-    for i = 0 to cc - 1 do
-      let sc = Compact.live_slot c v i and su = Unvisited.live_slot u v i in
-      if sc <> su then
-        Alcotest.failf "%s: live_slot %d at v=%d: compact %d, legacy %d" what
-          i v sc su
-    done;
-    if Compact.incident_edges c v <> Unvisited.incident_edges u v then
-      Alcotest.failf "%s: incident_edges at v=%d differ" what v
-  done
+    if not (vertex_agrees g marks visited v) then ok := false
+  done;
+  !ok
 
 let shuffled_edges g seed =
   let rng = Rng.create ~seed () in
@@ -132,184 +134,142 @@ let shuffled_edges g seed =
   done;
   a
 
-let prop_compact_matches_unvisited =
+(* Degrees up to 150 put up to three words in a region.  A retirement
+   only changes its endpoints' regions, which are checked after every
+   retirement; the whole graph is checked at the end. *)
+let prop_marks_model =
+  QCheck.Test.make ~name:"Arc_marks = bool-array model (any retirement order)"
+    ~count:100
+    QCheck.(
+      quad (int_range 1 12) (int_range 1 150) (int_range 0 1000)
+        (int_range 0 1000))
+    (fun (n, r, gseed, oseed) ->
+      let g = pairing gseed ~n ~r in
+      let marks = Arc_marks.create g in
+      let model = Array.make (Graph.m g) false in
+      let visited = Array.get model in
+      let vertex_ok v =
+        let live = expected_live g visited v in
+        let start = Graph.adj_start g v and stop = Graph.adj_stop g v in
+        vertex_agrees g marks visited v
+        && (live = []
+           || Arc_marks.first_live marks ~start ~stop = List.hd live
+              && Arc_marks.last_live marks ~start ~stop
+                 = List.nth live (List.length live - 1))
+        && List.sort compare (Array.to_list (Arc_marks.incident_edges marks v))
+           = List.sort_uniq compare (List.map (Graph.slot_edge g) live)
+      in
+      marks_agree g marks visited
+      && Array.for_all
+           (fun e ->
+             Arc_marks.retire_edge marks e;
+             model.(e) <- true;
+             let u, w = Graph.endpoints g e in
+             Arc_marks.edge_retired marks e && vertex_ok u && vertex_ok w)
+           (shuffled_edges g oseed)
+      && marks_agree g marks visited
+      && Bitset.equal
+           (Arc_marks.edge_set (Arc_marks.of_edge_set g (Arc_marks.edge_set marks)))
+           (Arc_marks.edge_set marks))
+
+(* -- marks = coverage after every step --------------------------------------- *)
+
+(* The invariant snapshots rely on to drop the marks: a blue step retires
+   the edge it takes and a red step only happens when every incident edge
+   is retired, so after every step the marks hold exactly the edges
+   coverage has seen.  Walkers run a fixed step budget, so disconnected
+   pairing multigraphs are fine. *)
+let prop_marks_track_coverage =
   QCheck.Test.make
-    ~name:"Compact = legacy Unvisited draw-for-draw (any retirement order)"
-    ~count:60
-    QCheck.(triple (int_range 3 16) (int_range 0 1000) (int_range 0 1000))
-    (fun (half_n, gseed, oseed) ->
-      let n = 2 * half_n in
-      let g = Exp_util.regular_graph (Rng.create ~seed:gseed ()) ~n ~d:4 in
-      let c = Compact.create g and u = Unvisited.create g in
-      let order = shuffled_edges g oseed in
-      let retired = ref 0 in
-      Array.for_all
-        (fun e ->
-          Compact.retire_edge c e;
-          Unvisited.retire_edge u e;
-          incr retired;
-          (try partitions_agree "qcheck" g c u
-           with Alcotest.Test_error ->
-             QCheck.Test.fail_reportf "diverged after retiring %d edges"
-               !retired);
-          Compact.retired_arcs c = 2 * !retired
-          && Compact.edges_retired c = !retired
-          && Compact.counter_consistent c
-          && Compact.edge_visited c e)
-        order)
+    ~name:"marks = coverage after every step (e-process rules, engine W=1,4)"
+    ~count:120
+    QCheck.(quad (int_range 2 24) (int_range 2 7) (int_range 0 4) (int_range 0 1000))
+    (fun (n, r, walk, seed) ->
+      let g = pairing seed ~n ~r in
+      let rng = Rng.create ~seed:(seed + 1) () in
+      let budget = (4 * Graph.m g) + 10 in
+      let agree marks cov =
+        marks_agree g marks (fun e -> Coverage.first_edge_visit cov e >= 0)
+      in
+      let rec go k step marks cov =
+        k = 0 || (step (); agree marks cov && go (k - 1) step marks cov)
+      in
+      match walk with
+      | 0 | 1 | 2 ->
+          let rule =
+            match walk with
+            | 0 -> Eprocess.Uar
+            | 1 -> Eprocess.Lowest_slot
+            | _ -> Eprocess.Highest_slot
+          in
+          let t = Eprocess.create ~rule g rng ~start:0 in
+          go budget
+            (fun () -> Eprocess.step t)
+            (Eprocess.marks t) (Eprocess.coverage t)
+      | _ ->
+          let w = if walk = 3 then 1 else 4 in
+          let starts = Array.init w (fun i -> (i * 5) mod Graph.n g) in
+          let proc =
+            match seed mod 3 with
+            | 0 -> Kengine.E_uar
+            | 1 -> Kengine.E_lowest
+            | _ -> Kengine.E_highest
+          in
+          let e = Kengine.create proc g rng ~starts in
+          go budget
+            (fun () -> Kengine.step e)
+            (Kengine.marks e) (Kengine.coverage e))
 
-let compact_save_restore () =
-  let g = Exp_util.regular_graph (Rng.create ~seed:21 ()) ~n:32 ~d:4 in
-  let c = Compact.create g in
-  let u = Unvisited.create g in
-  Array.iteri
-    (fun i e ->
-      if i mod 3 <> 0 then begin
-        Compact.retire_edge c e;
-        Unvisited.retire_edge u e
-      end)
-    (shuffled_edges g 5);
-  (* The wire format is the legacy state: a compact save restores into
-     the legacy module and vice versa, partitions still agreeing. *)
-  let c' = Compact.restore g (Unvisited.save u) in
-  let u' = Unvisited.restore g (Compact.save c) in
-  partitions_agree "legacy-state -> compact" g c' u;
-  partitions_agree "compact-state -> legacy" g c u';
-  Alcotest.(check int) "restored counter from partition"
-    (Compact.retired_arcs c) (Compact.retired_arcs c');
-  Alcotest.(check bool) "restored counter consistent" true
-    (Compact.counter_consistent c')
+(* -- kernel engine: visited edges vs the oracle, and jobs invariance --------- *)
 
-(* -- mutation kills ---------------------------------------------------------- *)
+let oracle_proc = function
+  | Kengine.E_uar -> Oracle.Kernel.E_uar
+  | Kengine.E_lowest -> Oracle.Kernel.E_lowest
+  | Kengine.E_highest -> Oracle.Kernel.E_highest
+  | Kengine.Srw -> Oracle.Kernel.Srw_walk
+  | Kengine.Rotor -> Oracle.Kernel.Rotor_walk
 
-(* Prove the battery has teeth: under each injected defect, the exact
-   checks above must detect a divergence.  If these tests ever pass with
-   the fault active, the equivalence battery is vacuous. *)
-
-let detects_broken_swap () =
-  let g = Exp_util.regular_graph (Rng.create ~seed:31 ()) ~n:32 ~d:4 in
-  let c = Compact.create g and u = Unvisited.create g in
-  Compact.set_fault c (Some Compact.Broken_swap);
-  let detected = ref false in
-  Array.iter
-    (fun e ->
-      if not !detected then
-        (* The defect may surface either as an internal invariant
-           violation during a later retirement (the stale index trips the
-           region assertion) or as an enumeration divergence from the
-           reference — both count as "caught". *)
-        try
-          Compact.retire_edge c e;
-          Unvisited.retire_edge u e;
-          partitions_agree "fault" g c u
-        with _ -> detected := true)
-    (shuffled_edges g 6);
-  Alcotest.(check bool) "broken swap-to-back detected" true !detected
-
-let detects_stale_popcount () =
-  let g = Exp_util.regular_graph (Rng.create ~seed:32 ()) ~n:32 ~d:4 in
-  let c = Compact.create g in
-  Compact.set_fault c (Some Compact.Stale_popcount);
-  let order = shuffled_edges g 7 in
-  Array.iter (Compact.retire_edge c) (Array.sub order 0 10);
-  Alcotest.(check bool) "counter_consistent flags the stale counter" false
-    (Compact.counter_consistent c);
-  Alcotest.(check int) "recount (popcount) is the ground truth" 20
-    (Compact.recount c)
-
-(* -- trace byte-equality across reorders ------------------------------------ *)
-
-(* Events rendered through the one serializer the jsonl sink uses: list
-   equality here is byte equality of the trace file (run prologue/epilogue
-   lines excepted — `eproc` mints a fresh run id per invocation, so the
-   CLI-level comparison in test/crash_matrix.sh filters run_info too). *)
-let render events = String.concat "\n" (List.map Trace.event_to_string events)
-
-let map_event inv = function
-  | Trace.Run_start { name; n; m; start } ->
-      Trace.Run_start { name; n; m; start = inv.(start) }
-  | Trace.Step { step; vertex; edge; blue } ->
-      Trace.Step { step; vertex = inv.(vertex); edge; blue }
-  | Trace.Phase { step; kind; vertex } ->
-      Trace.Phase { step; kind; vertex = inv.(vertex) }
-  | e -> e
-
-let orders = [ ("degree", Graph.Degree_sort); ("bfs", Graph.Bfs); ("rcm", Graph.Rcm) ]
-
-(* [run ?perm g ~start] steps a process on [g] with an observer installed
-   and returns the collected events.  The five processes below only
-   differ in [run]. *)
-let collect run ?perm g ~start =
-  let events = ref [] in
-  run ?perm g ~start (fun e -> events := e :: !events);
-  List.rev !events
-
-let reorder_trace_case name run () =
-  let g = Exp_util.regular_graph (Rng.create ~seed:41 ()) ~n:64 ~d:4 in
-  let base = render (collect run g ~start:0) in
-  List.iter
-    (fun (oname, order) ->
-      let g', perm = Graph.reorder g order in
-      let inv = Graph.inverse_permutation perm in
-      let events = collect run ~perm g' ~start:perm.(0) in
-      let relabeled = render (List.map (map_event inv) events) in
-      Alcotest.(check string)
-        (Printf.sprintf "%s under %s reorder" name oname)
-        base relabeled)
-    orders
-
-let steps_per_trace = 300
-
-let run_eprocess rule ?perm:_ g ~start obs =
-  let t = Eprocess.create ~rule g (Rng.create ~seed:42 ()) ~start in
-  Eprocess.set_observer t (Some obs);
-  Eprocess.run_steps t steps_per_trace
-
-let run_srw ?perm:_ g ~start obs =
-  let t = Srw.create g (Rng.create ~seed:42 ()) ~start in
-  Srw.set_observer t (Some obs);
-  Srw.run_steps t steps_per_trace
-
-let run_rotor ?perm g ~start obs =
-  let t =
-    Rotor.create ~randomize_rotors:true ?perm g (Rng.create ~seed:42 ()) ~start
-  in
-  Rotor.set_observer t (Some obs);
-  for _ = 1 to steps_per_trace do
-    Rotor.step t
-  done
-
-(* -- kernel engine: reorder trace equality and jobs invariance --------------- *)
-
-let kernel_reorder_case proc mode w () =
+(* One engine configuration against the naive oracle in RNG lockstep:
+   after every walker step the moved walker must stand where the oracle's
+   does, and the engine's visited edges — the shared marks, which must
+   equal coverage (cooperating e-process), coverage (cooperating rotor),
+   or the walker's private marks (competing) — must equal the oracle's
+   row, edge for edge. *)
+let kernel_marks_case proc mode w () =
   let g = Exp_util.regular_graph (Rng.create ~seed:51 ()) ~n:64 ~d:4 in
-  let run ?perm g ~starts =
-    let events = ref [] in
-    let e = Kengine.create ~mode ?perm proc g (Rng.create ~seed:52 ()) ~starts in
-    Kengine.set_observer e
-      (Some (fun ~walker ev -> events := (walker, ev) :: !events));
-    for _ = 1 to 200 do
-      Kengine.step_round e
-    done;
-    (List.rev !events, Array.copy (Kengine.positions e))
-  in
   let starts = Array.init w (fun i -> (i * 7) mod Graph.n g) in
-  let base_events, base_pos = run g ~starts in
-  List.iter
-    (fun (oname, order) ->
-      let g', perm = Graph.reorder g order in
-      let inv = Graph.inverse_permutation perm in
-      let events, pos = run ~perm g' ~starts:(Array.map (fun s -> perm.(s)) starts) in
-      let relabeled = List.map (fun (w, ev) -> (w, map_event inv ev)) events in
-      let tag (w, ev) = Printf.sprintf "w%d %s" w (Trace.event_to_string ev) in
-      Alcotest.(check string)
-        (Printf.sprintf "kernel %s W=%d under %s" (Kengine.proc_name proc) w
-           oname)
-        (String.concat "\n" (List.map tag base_events))
-        (String.concat "\n" (List.map tag relabeled));
-      Alcotest.(check (array int))
-        "final positions relabel back" base_pos (Array.map (fun p -> inv.(p)) pos))
-    orders
+  let eng = Kengine.create ~mode proc g (Rng.create ~seed:52 ()) ~starts in
+  let orc =
+    Oracle.Kernel.create
+      ~mode:
+        (match mode with
+        | Kengine.Cooperating -> Oracle.Kernel.Cooperating
+        | Kengine.Competing -> Oracle.Kernel.Competing)
+      (oracle_proc proc) g (Rng.create ~seed:52 ()) ~starts
+  in
+  let engine_visited wk e =
+    match (mode, proc) with
+    | Kengine.Competing, _ -> Kengine.walker_edge_visited eng wk e
+    | Kengine.Cooperating, (Kengine.Srw | Kengine.Rotor) ->
+        Coverage.edge_visited (Kengine.coverage eng) e
+    | Kengine.Cooperating, _ ->
+        let seen = Coverage.edge_visited (Kengine.coverage eng) e in
+        if Arc_marks.edge_retired (Kengine.marks eng) e <> seen then
+          Alcotest.failf "edge %d: marks disagree with coverage" e;
+        seen
+  in
+  for step = 1 to 200 * w do
+    let wk = Kengine.cursor eng in
+    Kengine.step eng;
+    Oracle.Kernel.step orc;
+    if Kengine.walker_position eng wk <> Oracle.Kernel.walker_position orc wk
+    then Alcotest.failf "step %d: walker %d diverged from the oracle" step wk;
+    for e = 0 to Graph.m g - 1 do
+      if engine_visited wk e <> Oracle.Kernel.edge_visited orc wk e then
+        Alcotest.failf "step %d: walker %d, edge %d visited flag diverges" step
+          wk e
+    done
+  done
 
 let kernel_jobs_invariance () =
   let g = Exp_util.regular_graph (Rng.create ~seed:61 ()) ~n:128 ~d:4 in
@@ -335,90 +295,9 @@ let kernel_jobs_invariance () =
   Alcotest.(check bool) "walker counters identical at jobs 1 vs 4" true
     (st1 = st4)
 
-(* -- Bloom approximate-visited characterization ------------------------------ *)
-
-(* On the stock graph matrix: an approximate run must still cover (false
-   positives only downgrade blue steps to red), and the measured
-   false-positive rate on the step path must stay within the textbook
-   (1 - e^{-kn/m})^k bound, with 3x slack for double hashing and sampling
-   noise.  The measured numbers are recorded in EXPERIMENTS.md. *)
-let bloom_cases =
-  [
-    ("regular:4 n=256", fun () -> Exp_util.regular_graph (Rng.create ~seed:71 ()) ~n:256 ~d:4);
-    ("regular:6 n=128", fun () -> Exp_util.regular_graph (Rng.create ~seed:72 ()) ~n:128 ~d:6);
-    ("hypercube:8", fun () -> Ewalk_graph.Gen_classic.hypercube 8);
-  ]
-
-let bloom_characterization () =
-  List.iter
-    (fun (gname, mk) ->
-      let g = mk () in
-      let bits_per_edge = 8 and hashes = 3 in
-      let t =
-        Eprocess.create
-          ~approx:(Eprocess.Bloom { bits_per_edge; hashes })
-          g
-          (Rng.create ~seed:73 ())
-          ~start:0
-      in
-      (match Eprocess.run_to_vertex_cover t with
-      | Some _ -> ()
-      | None -> Alcotest.failf "%s: approx run did not cover" gname);
-      Alcotest.(check int)
-        (gname ^ ": coverage table (ground truth) complete")
-        (Graph.n g)
-        (Coverage.vertices_visited (Eprocess.coverage t));
-      let fp, queries =
-        match Eprocess.approx_distortion t with
-        | Some d -> d
-        | None -> Alcotest.failf "%s: no distortion counters" gname
-      in
-      let filter =
-        match Eprocess.approx_filter t with
-        | Some f -> f
-        | None -> Alcotest.failf "%s: no filter" gname
-      in
-      let measured =
-        if queries = 0 then 0.0 else float_of_int fp /. float_of_int queries
-      in
-      let bound =
-        Bloom.fp_rate_bound ~bits:(Bloom.size filter) ~hashes
-          ~inserted:(Bloom.inserted filter)
-      in
-      Printf.printf
-        "bloom %-16s bits/edge=%d hashes=%d: %d/%d fp (%.4f measured, \
-         %.4f bound, fill %.3f)\n%!"
-        gname bits_per_edge hashes fp queries measured bound
-        (Bloom.fill_fraction filter);
-      if measured > (3.0 *. bound) +. 0.01 then
-        Alcotest.failf "%s: measured fp rate %.4f exceeds 3x bound %.4f" gname
-          measured bound)
-    bloom_cases
-
-(* A tighter direct-membership check, independent of any walk: keys never
-   added must false-positive at about the bound. *)
-let bloom_direct_fp_rate () =
-  let bits = 8 * 4096 and hashes = 3 in
-  let f = Bloom.create ~bits ~hashes in
-  for k = 0 to 4095 do
-    Bloom.add f k
-  done;
-  for k = 0 to 4095 do
-    if not (Bloom.mem f k) then Alcotest.fail "bloom dropped an added key"
-  done;
-  let fp = ref 0 in
-  let probes = 100_000 in
-  for k = 4096 to 4095 + probes do
-    if Bloom.mem f k then incr fp
-  done;
-  let measured = float_of_int !fp /. float_of_int probes in
-  let bound = Bloom.fp_rate_bound ~bits ~hashes ~inserted:4096 in
-  Printf.printf "bloom direct: %.4f measured vs %.4f bound\n%!" measured bound;
-  Alcotest.(check bool)
-    (Printf.sprintf "direct fp rate %.4f within 2x bound %.4f" measured bound)
-    true
-    (measured <= (2.0 *. bound) +. 0.005)
-
+(* Alcotest truncates a long test name to fit beside the widest group
+   label, so that label's width (13, "coverage-sync") fixes how the
+   bitset property's name prints in the report. *)
 let () =
   Alcotest.run "compact"
     [
@@ -427,53 +306,21 @@ let () =
           qcheck prop_bitset_reference;
           Alcotest.test_case "edge cases and hex format" `Quick bitset_edges;
         ] );
-      ( "partition",
-        [
-          qcheck prop_compact_matches_unvisited;
-          Alcotest.test_case "save/restore crosses implementations" `Quick
-            compact_save_restore;
-        ] );
-      ( "mutation-kill",
-        [
-          Alcotest.test_case "broken swap-to-back is detected" `Quick
-            detects_broken_swap;
-          Alcotest.test_case "stale popcount is detected" `Quick
-            detects_stale_popcount;
-        ] );
-      ( "reorder-trace",
-        [
-          Alcotest.test_case "e-process(uar)" `Quick
-            (reorder_trace_case "e-process(uar)" (run_eprocess Eprocess.Uar));
-          Alcotest.test_case "e-process(lowest)" `Quick
-            (reorder_trace_case "e-process(lowest)"
-               (run_eprocess Eprocess.Lowest_slot));
-          Alcotest.test_case "e-process(highest)" `Quick
-            (reorder_trace_case "e-process(highest)"
-               (run_eprocess Eprocess.Highest_slot));
-          Alcotest.test_case "srw" `Quick (reorder_trace_case "srw" run_srw);
-          Alcotest.test_case "rotor" `Quick
-            (reorder_trace_case "rotor" run_rotor);
-        ] );
+      ("marks", [ qcheck prop_marks_model ]);
+      ("coverage-sync", [ qcheck prop_marks_track_coverage ]);
       ( "kernel",
         [
           Alcotest.test_case "cooperating euar W=1" `Quick
-            (kernel_reorder_case Kengine.E_uar Kengine.Cooperating 1);
+            (kernel_marks_case Kengine.E_uar Kengine.Cooperating 1);
           Alcotest.test_case "cooperating euar W=4" `Quick
-            (kernel_reorder_case Kengine.E_uar Kengine.Cooperating 4);
+            (kernel_marks_case Kengine.E_uar Kengine.Cooperating 4);
           Alcotest.test_case "competing euar W=4" `Quick
-            (kernel_reorder_case Kengine.E_uar Kengine.Competing 4);
+            (kernel_marks_case Kengine.E_uar Kengine.Competing 4);
           Alcotest.test_case "cooperating rotor W=4" `Quick
-            (kernel_reorder_case Kengine.Rotor Kengine.Cooperating 4);
+            (kernel_marks_case Kengine.Rotor Kengine.Cooperating 4);
           Alcotest.test_case "competing rotor W=4" `Quick
-            (kernel_reorder_case Kengine.Rotor Kengine.Competing 4);
+            (kernel_marks_case Kengine.Rotor Kengine.Competing 4);
           Alcotest.test_case "competing jobs 1 = jobs 4" `Quick
             kernel_jobs_invariance;
-        ] );
-      ( "bloom",
-        [
-          Alcotest.test_case "characterization on stock graphs" `Quick
-            bloom_characterization;
-          Alcotest.test_case "direct membership fp rate" `Quick
-            bloom_direct_fp_rate;
         ] );
     ]

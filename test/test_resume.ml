@@ -370,6 +370,74 @@ let snapshot_rejects_corruption () =
       expect_error "missing file" is_io
         (Snapshot.read g ~path:(path ^ ".does-not-exist")))
 
+(* Rewrite a snapshot's payload and re-seal its CRC, as a writer of that
+   payload would have: what the reader then says is about the payload
+   alone. *)
+let reseal path edit =
+  match Json.of_string (read_file path) with
+  | Error e -> Alcotest.failf "snapshot is not JSON: %s" e
+  | Ok doc -> (
+      match Json.member "payload" doc with
+      | Some (Json.Obj fields) ->
+          let payload = Json.to_string (Json.Obj (edit fields)) in
+          write_file path
+            (Printf.sprintf "{\"schema\":%s,\"crc32\":\"%s\",\"payload\":%s}\n"
+               (Json.to_string (Json.String Snapshot.schema))
+               (Crc32.to_hex (Crc32.string payload))
+               payload)
+      | _ -> Alcotest.fail "snapshot has no payload object")
+
+let expect_mismatch what ~mentions = function
+  | Error (Snapshot.Mismatch msg) ->
+      if not (contains msg mentions) then
+        Alcotest.failf "%s: mismatch message %S does not mention %S" what msg
+          mentions
+  | Error e -> Alcotest.failf "%s: wrong error %s" what (Snapshot.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+
+(* A snapshot written while the marks were a swap partition carries an
+   [unvisited] section, and its UAR draws indexed the partition's slot
+   order: it must be refused as a Mismatch, never continued under the
+   adjacency-order coupling.  Likewise a payload whose blue steps differ
+   from its edges seen, the one check restore makes before rebuilding the
+   marks from coverage. *)
+let snapshot_refuses_partition () =
+  let g = Exp_util.regular_graph (Rng.create ~seed:3 ()) ~n:20 ~d:4 in
+  let p = Eprocess.create g (Rng.create ~seed:4 ()) ~start:0 in
+  Eprocess.run_steps p 25;
+  let k = Kengine.create Kengine.E_uar g (Rng.create ~seed:5 ()) ~starts:[| 0; 7 |] in
+  Kengine.run_rounds k 10;
+  let partition =
+    Json.Obj
+      [
+        ("slot_list", Json.List [ Json.Int 0 ]);
+        ("slot_index", Json.List [ Json.Int 0 ]);
+        ("counts", Json.List [ Json.Int 1 ]);
+      ]
+  in
+  let path = temp_path ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (what, walk) ->
+          ok_or_fail "write" (Snapshot.write ~path walk);
+          ok_or_fail "clean read" (Result.map ignore (Snapshot.read g ~path));
+          reseal path (fun fields -> fields @ [ ("unvisited", partition) ]);
+          expect_mismatch what ~mentions:"swap-partition" (Snapshot.read g ~path);
+          expect_mismatch (what ^ " inspect") ~mentions:"swap-partition"
+            (Snapshot.describe ~path))
+        [ ("e-process", Snapshot.Eprocess p); ("kernel", Snapshot.Kernel k) ];
+      ok_or_fail "write" (Snapshot.write ~path (Snapshot.Eprocess p));
+      reseal path
+        (List.map (fun (key, v) ->
+             match (key, v) with
+             | "blue_steps", Json.Int b -> (key, Json.Int (b - 1))
+             | "red_steps", Json.Int r -> (key, Json.Int (r + 1))
+             | _ -> (key, v)));
+      expect_mismatch "blue steps != edges seen" ~mentions:"edges seen"
+        (Snapshot.read g ~path))
+
 (* -- Snapshot run provenance ------------------------------------------------- *)
 
 let snapshot_provenance () =
@@ -643,6 +711,8 @@ let () =
           Alcotest.test_case "run provenance" `Quick snapshot_provenance;
           Alcotest.test_case "rejects corruption" `Quick
             snapshot_rejects_corruption;
+          Alcotest.test_case "refuses swap-partition payloads" `Quick
+            snapshot_refuses_partition;
         ] );
       ( "campaign",
         [

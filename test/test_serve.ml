@@ -308,6 +308,52 @@ let router_lifecycle () =
   Alcotest.(check int) "deleted is gone" 404 (status r);
   Alcotest.(check int) "no sessions left" 0 (Registry.session_count reg)
 
+(* A hibernated session whose snapshot was written under the swap-partition
+   coupling (it carries an [unvisited] section, CRC intact) cannot resume
+   draw-for-draw: rehydrating it answers a structured 409, and the daemon
+   keeps serving. *)
+let router_refuses_partition_snapshot () =
+  with_registry @@ fun reg ->
+  let h = Router.handler reg in
+  let r =
+    h
+      (req ~meth:"POST"
+         ~body:(cfg_body ~family:"regular:4" ~n:24 ~seed:11 ())
+         "/sessions")
+  in
+  Alcotest.(check int) "create" 201 (status r);
+  let id = json_member_string "id" r in
+  let step () =
+    h (req ~meth:"POST" ~body:{|{"steps":10}|} ("/sessions/" ^ id ^ "/step"))
+  in
+  Alcotest.(check int) "step" 200 (status (step ()));
+  let r = h (req ~meth:"POST" ("/sessions/" ^ id ^ "/hibernate")) in
+  Alcotest.(check int) "hibernate" 200 (status r);
+  let path =
+    match Registry.find reg id with
+    | Some s -> Session.snapshot_path s
+    | None -> Alcotest.fail "session vanished"
+  in
+  (match Json.of_string (read_file path) with
+  | Ok doc -> (
+      match Json.member "payload" doc with
+      | Some (Json.Obj fields) ->
+          let payload =
+            Json.to_string
+              (Json.Obj (fields @ [ ("unvisited", Json.Obj []) ]))
+          in
+          let crc = Ewalk_resume.Crc32.(to_hex (string payload)) in
+          let oc = open_out_bin path in
+          Printf.fprintf oc "{\"schema\":\"%s\",\"crc32\":\"%s\",\"payload\":%s}\n"
+            Ewalk_resume.Snapshot.schema crc payload;
+          close_out oc
+      | _ -> Alcotest.fail "snapshot has no payload object")
+  | Error e -> Alcotest.fail e);
+  let r = step () in
+  Alcotest.(check int) "rehydrate refused" 409 (status r);
+  Alcotest.(check string) "error code" "snapshot_mismatch" (error_code r);
+  Alcotest.(check int) "still serving" 200 (status (h (req "/sessions")))
+
 (* qcheck: no request shape may crash the router or escape the
    structured-status contract. *)
 let prop_router_fuzz =
@@ -894,6 +940,8 @@ let () =
             registry_restart_recovery;
           Alcotest.test_case "resident cap eviction" `Quick
             registry_resident_cap;
+          Alcotest.test_case "swap-partition snapshot is a 409" `Quick
+            router_refuses_partition_snapshot;
         ] );
       ( "http",
         [

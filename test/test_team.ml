@@ -4,53 +4,68 @@ module Graph = Ewalk_graph.Graph
 module Gen_classic = Ewalk_graph.Gen_classic
 module Gen_regular = Ewalk_graph.Gen_regular
 module Team = Ewalk_kernel.Team
-module Unvisited = Ewalk.Unvisited
+module Arc_marks = Ewalk.Arc_marks
 module Coverage = Ewalk.Coverage
 module Cover = Ewalk.Cover
 module Rng = Ewalk_prng.Rng
 
 let qcheck = QCheck_alcotest.to_alcotest
 
-(* -- Unvisited bookkeeping ---------------------------------------------------- *)
+(* -- unvisited-edge marks ------------------------------------------------------ *)
+
+(* The marks' counting functions over vertex [v]'s slot region. *)
+let live g u v =
+  Arc_marks.live u ~start:(Graph.adj_start g v) ~stop:(Graph.adj_stop g v)
 
 let unvisited_initial () =
   let g = Gen_classic.torus2d 3 3 in
-  let u = Unvisited.create g in
+  let u = Arc_marks.create g in
   for v = 0 to Graph.n g - 1 do
-    Alcotest.(check int) "all live" (Graph.degree g v) (Unvisited.count u v)
+    let start = Graph.adj_start g v and stop = Graph.adj_stop g v in
+    Alcotest.(check int) "all live" (Graph.degree g v) (live g u v);
+    Alcotest.(check int) "first live slot" start
+      (Arc_marks.first_live u ~start ~stop);
+    Alcotest.(check int) "last live slot" (stop - 1)
+      (Arc_marks.last_live u ~start ~stop)
   done
 
 let unvisited_retire () =
   let g = Gen_classic.cycle 4 in
-  let u = Unvisited.create g in
-  Unvisited.retire_edge u 0;
+  let u = Arc_marks.create g in
+  Arc_marks.retire_edge u 0;
   let a, b = Graph.endpoints g 0 in
-  Alcotest.(check int) "endpoint a" 1 (Unvisited.count u a);
-  Alcotest.(check int) "endpoint b" 1 (Unvisited.count u b);
+  Alcotest.(check int) "endpoint a" 1 (live g u a);
+  Alcotest.(check int) "endpoint b" 1 (live g u b);
+  Alcotest.(check bool) "edge test" true (Arc_marks.edge_retired u 0);
   (* The retired edge no longer appears among live slots. *)
   for v = 0 to 3 do
     Array.iter
       (fun e -> Alcotest.(check bool) "edge 0 gone" true (e <> 0))
-      (Unvisited.incident_edges u v)
+      (Arc_marks.incident_edges u v);
+    let start = Graph.adj_start g v and stop = Graph.adj_stop g v in
+    for k = 0 to live g u v - 1 do
+      Alcotest.(check bool) "live slot carries a live edge" true
+        (Graph.slot_edge g (Arc_marks.nth_live u ~start ~stop k) <> 0)
+    done
   done
 
 let unvisited_self_loop () =
   let g = Graph.of_edges ~n:1 [ (0, 0) ] in
-  let u = Unvisited.create g in
-  Alcotest.(check int) "loop counts twice" 2 (Unvisited.count u 0);
+  let u = Arc_marks.create g in
+  Alcotest.(check int) "loop counts twice" 2 (live g u 0);
   Alcotest.(check int) "listed once" 1
-    (Array.length (Unvisited.incident_edges u 0));
-  Unvisited.retire_edge u 0;
-  Alcotest.(check int) "both slots retired" 0 (Unvisited.count u 0)
+    (Array.length (Arc_marks.incident_edges u 0));
+  Arc_marks.retire_edge u 0;
+  Alcotest.(check int) "both slots retired" 0 (live g u 0)
 
 let unvisited_slot_with_edge () =
   let g = Gen_classic.cycle 5 in
-  let u = Unvisited.create g in
-  let slot = Unvisited.slot_with_edge u 0 0 in
+  let u = Arc_marks.create g in
+  let slot = Arc_marks.slot_of_edge u 0 0 in
   Alcotest.(check int) "slot carries edge" 0 (Graph.slot_edge g slot);
-  Unvisited.retire_edge u 0;
+  Arc_marks.retire_edge u 0;
   Alcotest.check_raises "gone" Not_found (fun () ->
-      ignore (Unvisited.slot_with_edge u 0 0))
+      ignore (Arc_marks.slot_of_edge u 0 0))
 
 (* -- Team --------------------------------------------------------------------- *)
 
