@@ -124,7 +124,7 @@ end
 module Kernel = struct
   (* Naive multi-walker reference for the lockstep engine: a plain
      round-robin loop over per-walker [Rng.t] streams ([Rng.stream root w]
-     — the same derivation [Ewalk_kernel.Packed.of_rng] uses), explicit
+     — the derivation the engine's lanes use), explicit
      bool-array visited sets (one shared row in cooperating mode, one row
      per walker in competing mode), and adjacency-order offset scans.  In
      every configuration the reference consumes the same draws as the

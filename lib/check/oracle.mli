@@ -59,7 +59,7 @@ end
 
 (** Naive multi-walker reference for the lockstep kernel: a plain
     round-robin loop over per-walker generators ([Rng.stream root w] — the
-    same stream derivation [Ewalk_kernel.Packed.of_rng] uses), explicit
+    stream derivation the engine's lanes use), explicit
     bool-array visited sets (one shared row in cooperating mode, one
     private row per walker in competing mode), and adjacency-order offset
     scans.

@@ -5,6 +5,7 @@ module Coverage = Ewalk.Coverage
 module Arc_marks = Ewalk.Arc_marks
 module Bitset = Ewalk.Bitset
 module Cover = Ewalk.Cover
+module Rng = Ewalk_prng.Rng
 
 type mode = Cooperating | Competing
 type proc = E_uar | E_lowest | E_highest | Srw | Rotor
@@ -41,7 +42,7 @@ type t = {
   proc : proc;
   marks : marks;
   pos : int array;
-  prng : Packed.t;
+  lanes : Rng.t array; (* walker w draws from lanes.(w) *)
   mutable cursor : int;
   mutable gsteps : int; (* cooperating: global step clock *)
   wsteps : int array;
@@ -72,14 +73,14 @@ let create ?(mode = Cooperating) ?(randomize_rotors = true) proc g rng ~starts =
       if v < 0 || v >= Graph.n g then
         invalid_arg "Engine.create: start out of range")
     starts;
-  let prng = Packed.of_rng rng ~walkers in
+  let lanes = Array.init walkers (Rng.stream rng) in
   let n = Graph.n g in
   (* Rotor offsets draw from the owning walker's stream, in vertex order —
      walker 0's draws reproduce the legacy [Rotor.create] sequence. *)
   let init_rotor w =
     Array.init n (fun v ->
         let deg = Graph.degree g v in
-        if randomize_rotors && deg > 0 then Packed.int prng w deg else 0)
+        if randomize_rotors && deg > 0 then Rng.int lanes.(w) deg else 0)
   in
   let marks =
     match mode with
@@ -126,7 +127,7 @@ let create ?(mode = Cooperating) ?(randomize_rotors = true) proc g rng ~starts =
     proc;
     marks;
     pos = Array.copy starts;
-    prng;
+    lanes;
     cursor = 0;
     gsteps = 0;
     wsteps = Array.make walkers 0;
@@ -260,7 +261,7 @@ let record_phase_transition t w ~stamp ~vertex next_is_blue =
    the functions the single-walker loop calls, in adjacency order. *)
 let blue_slot t marks pw ~start ~stop k =
   match t.proc with
-  | E_uar -> Arc_marks.nth_live marks ~start ~stop (Packed.int t.prng pw k)
+  | E_uar -> Arc_marks.nth_live marks ~start ~stop (Rng.int t.lanes.(pw) k)
   | E_lowest -> Arc_marks.first_live marks ~start ~stop
   | E_highest -> Arc_marks.last_live marks ~start ~stop
   | Srw | Rotor -> assert false
@@ -279,12 +280,12 @@ let step_shared t sh w =
         record_phase_transition t w ~stamp:t.gsteps ~vertex:v blue;
         let slot =
           if blue then blue_slot t marks pw ~start ~stop k
-          else start + Packed.int t.prng pw deg
+          else start + Rng.int t.lanes.(pw) deg
         in
         (blue, slot)
     | None -> (
         match t.proc with
-        | Srw -> (false, start + Packed.int t.prng pw deg)
+        | Srw -> (false, start + Rng.int t.lanes.(pw) deg)
         | Rotor ->
             let rot = Option.get sh.sh_rotor in
             let r = rot.(v) in
@@ -330,10 +331,10 @@ let step_private t pv w =
         record_phase_transition t w ~stamp ~vertex:v blue;
         let slot =
           if blue then blue_slot t marks pw ~start ~stop k
-          else start + Packed.int t.prng pw deg
+          else start + Rng.int t.lanes.(pw) deg
         in
         (blue, slot)
-    | Srw -> (false, start + Packed.int t.prng pw deg)
+    | Srw -> (false, start + Rng.int t.lanes.(pw) deg)
     | Rotor ->
         let rot = Option.get pv.pv_rotor in
         let base = w * Graph.n t.g in
@@ -471,6 +472,14 @@ let process t =
 
 (* --- checkpointing (cooperating mode) -------------------------------- *)
 
+(* The lanes' state words, walker-major: walker w's are words 4w..4w+3. *)
+let save_lanes t = Array.concat (Array.to_list (Array.map Rng.save t.lanes))
+
+let restore_lanes ~walkers words =
+  if Array.length words <> 4 * walkers then
+    invalid_arg "Engine: expected 4 PRNG state words per walker";
+  Array.init walkers (fun w -> Rng.restore (Array.sub words (4 * w) 4))
+
 type checkpoint = {
   ck_proc : proc;
   ck_pos : int array;
@@ -500,7 +509,7 @@ let checkpoint t =
         ck_wsteps = Array.copy t.wsteps;
         ck_wblue = Array.copy t.wblue;
         ck_wred = Array.copy t.wred;
-        ck_prng = Packed.save t.prng;
+        ck_prng = save_lanes t;
         ck_coverage = Coverage.save sh.sh_coverage;
         ck_rotor = Option.map Array.copy sh.sh_rotor;
         ck_phase = Array.copy t.phase;
@@ -568,7 +577,7 @@ let of_checkpoint g ck =
           sh_rotor = Option.map Array.copy ck.ck_rotor;
         };
     pos = Array.copy ck.ck_pos;
-    prng = Packed.restore ~walkers:w ck.ck_prng;
+    lanes = restore_lanes ~walkers:w ck.ck_prng;
     cursor = ck.ck_cursor;
     gsteps = ck.ck_steps;
     wsteps = Array.copy ck.ck_wsteps;
@@ -612,7 +621,7 @@ let checkpoint_competing t =
         cc_wsteps = Array.copy t.wsteps;
         cc_wblue = Array.copy t.wblue;
         cc_wred = Array.copy t.wred;
-        cc_prng = Packed.save t.prng;
+        cc_prng = save_lanes t;
         cc_visited = Array.map Arc_marks.edge_set pv.pv_marks;
         cc_vseen = Array.map Bitset.copy pv.pv_vseen;
         cc_vcount = Array.copy pv.pv_vcount;
@@ -716,7 +725,7 @@ let of_checkpoint_competing g ck =
           pv_rotor = Option.map Array.copy ck.cc_rotor;
         };
     pos = Array.copy ck.cc_pos;
-    prng = Packed.restore ~walkers:w ck.cc_prng;
+    lanes = restore_lanes ~walkers:w ck.cc_prng;
     cursor = ck.cc_cursor;
     gsteps = 0;
     wsteps = Array.copy ck.cc_wsteps;

@@ -2,9 +2,9 @@
 
     The engine advances W walkers over one shared graph in round-robin
     lockstep, with all per-walker state held struct-of-arrays style: a flat
-    [int array] of positions, a {!Packed} bank of per-walker xoshiro256++
-    words (walker [w] draws from [Rng.stream root w], so no two walkers
-    ever share a PRNG stream), and {!Ewalk.Arc_marks} visited-edge marks.
+    [int array] of positions, one {!Ewalk_prng.Rng.t} lane per walker
+    (walker [w] draws from [Rng.stream root w], so no two walkers ever
+    share a PRNG stream), and {!Ewalk.Arc_marks} visited-edge marks.
 
     Two marking disciplines:
 
@@ -194,7 +194,7 @@ type checkpoint = {
   ck_wsteps : int array;
   ck_wblue : int array;
   ck_wred : int array;
-  ck_prng : int64 array;  (** {!Packed.save} words, walker-major *)
+  ck_prng : int64 array;  (** the lanes' {!Ewalk_prng.Rng.save} words, walker-major *)
   ck_coverage : Ewalk.Coverage.state;
   ck_rotor : int array option;  (** Rotor only *)
   ck_phase : (phase_kind * int * Graph.vertex) option array;
@@ -222,7 +222,7 @@ type competing_checkpoint = {
   cc_wsteps : int array;
   cc_wblue : int array;
   cc_wred : int array;
-  cc_prng : int64 array;  (** {!Packed.save} words, walker-major *)
+  cc_prng : int64 array;  (** the lanes' {!Ewalk_prng.Rng.save} words, walker-major *)
   cc_visited : Ewalk.Bitset.t array;
       (** per-walker traversed edges, m bits ({!Ewalk.Arc_marks.edge_set}) *)
   cc_vseen : Ewalk.Bitset.t array;  (** per-walker vertex bitsets, n bits *)

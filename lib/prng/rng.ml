@@ -1,26 +1,68 @@
-type t = Xoshiro.t
+(* The xoshiro256++ state lives in one 32-byte [Bytes.t]: words s0..s3 at
+   byte offsets 0, 8, 16, 24, read and written native-endian.  The update
+   is written out where a draw needs it, so the state words stay unboxed
+   and a draw allocates nothing.  Bit for bit this is [Xoshiro], which the
+   test suite keeps as the reference. *)
 
-let of_int64 seed = Xoshiro.of_seed seed
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 s2;
+  set64 t 24 s3;
+  t
+
+let of_int64 seed =
+  (* SplitMix64 is a bijection of a Weyl sequence: four consecutive outputs
+     cannot all be zero, so the state is always valid. *)
+  let sm = Splitmix.create seed in
+  let s0 = Splitmix.next sm in
+  let s1 = Splitmix.next sm in
+  let s2 = Splitmix.next sm in
+  let s3 = Splitmix.next sm in
+  of_words s0 s1 s2 s3
 
 let create ?(seed = 0x5EED) () = of_int64 (Int64.of_int seed)
 
-let bits64 = Xoshiro.next
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let copy = Xoshiro.copy
+(* xoshiro256++ [next]: advance the state, return 64 bits. *)
+let[@inline] next t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (Int64.logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
+  result
 
-let save t =
-  let s0, s1, s2, s3 = Xoshiro.state t in
-  [| s0; s1; s2; s3 |]
+let bits64 t = next t
+let copy = Bytes.copy
+let save t = [| get64 t 0; get64 t 8; get64 t 16; get64 t 24 |]
 
 let restore words =
   if Array.length words <> 4 then
     invalid_arg "Rng.restore: expected 4 state words";
-  Xoshiro.of_state words.(0) words.(1) words.(2) words.(3)
+  if Array.for_all (fun w -> w = 0L) words then
+    invalid_arg "Rng.restore: all-zero state";
+  of_words words.(0) words.(1) words.(2) words.(3)
 
 let split t =
   (* Hash two successive outputs through the SplitMix finaliser so the child
      seed is not a raw state word of the parent stream. *)
-  let a = Xoshiro.next t and b = Xoshiro.next t in
+  let a = next t in
+  let b = next t in
   of_int64 (Splitmix.mix (Int64.add a (Int64.mul 0x9E3779B97F4A7C15L b)))
 
 let split_n t k = Array.init k (fun _ -> split t)
@@ -34,11 +76,10 @@ let stream t i =
        finalise.  Distinct [i] give distinct, decorrelated seeds; the
        parent is never advanced, so stream 0 (the parent's own copy)
        stays bit-identical to the parent. *)
-    let s0, s1, s2, s3 = Xoshiro.state t in
     let base =
-      List.fold_left
+      Array.fold_left
         (fun acc w -> Splitmix.mix (Int64.add acc w))
-        0L [ s0; s1; s2; s3 ]
+        0L (save t)
     in
     of_int64
       (Splitmix.mix
@@ -49,17 +90,16 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
   if bound land (bound - 1) = 0 then
     (* Power of two: take low bits. *)
-    Int64.to_int (Int64.logand (bits64 t) (Int64.of_int (bound - 1)))
+    Int64.to_int (next t) land (bound - 1)
   else begin
     (* Rejection sampling on the 63-bit non-negative range. *)
     let bound64 = Int64.of_int bound in
-    let mask = Int64.max_int in
-    let limit = Int64.sub mask (Int64.rem mask bound64) in
-    let rec draw () =
-      let v = Int64.logand (bits64 t) mask in
-      if v >= limit then draw () else Int64.to_int (Int64.rem v bound64)
-    in
-    draw ()
+    let limit = Int64.sub Int64.max_int (Int64.rem Int64.max_int bound64) in
+    let v = ref (Int64.logand (next t) Int64.max_int) in
+    while !v >= limit do
+      v := Int64.logand (next t) Int64.max_int
+    done;
+    Int64.to_int (Int64.rem !v bound64)
   end
 
 let int_in t lo hi =
@@ -68,10 +108,10 @@ let int_in t lo hi =
 
 let float t bound =
   (* 53 uniform bits scaled to [0, 1), then to [0, bound). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0) *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.to_int (next t) land 1 = 1
 
 let bernoulli t p =
   if p <= 0. then false

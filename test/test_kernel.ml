@@ -1,5 +1,5 @@
 (* Tests for the batched multi-walker lockstep kernel (Ewalk_kernel):
-   the packed PRNG bank, W=1 bit-identity with the legacy single-walker
+   the packed generator state and the engine's lanes, W=1 bit-identity with the legacy single-walker
    processes, cooperating/competing semantics, the differential battery
    against the naive oracle at several job counts, parallel run
    equivalence, checkpoint round-trips, and the mutation-kill battery
@@ -19,7 +19,7 @@ module Rotor = Ewalk.Rotor
 module Cover = Ewalk.Cover
 module Coverage = Ewalk.Coverage
 module Engine = Ewalk_kernel.Engine
-module Packed = Ewalk_kernel.Packed
+module Xoshiro = Ewalk_prng.Xoshiro
 module Team = Ewalk_kernel.Team
 module Invariant = Ewalk_check.Invariant
 module Oracle = Ewalk_check.Oracle
@@ -32,82 +32,132 @@ let fixture_regular =
     (let rng = Rng.create ~seed:4242 () in
      Gen_regular.random_regular_connected rng 48 4)
 
-(* -- Packed PRNG bank -------------------------------------------------------- *)
+(* -- packed generator state and the engine's lanes ---------------------- *)
 
-(* The bank must replicate [Rng.stream root w] draw for draw: walker 0 is
-   the root's own state, walker w > 0 a splitmix-jumped stream. *)
-let packed_matches_streams () =
+(* [Rng] keeps the xoshiro256++ words packed in 32 bytes with the update
+   written out inline; the record-based [Xoshiro] is the reference it must
+   equal draw for draw, with the exact draw algorithms: the low-bit mask
+   for power-of-two bounds, 63-bit rejection otherwise, 53-bit floats and
+   low-bit coins. *)
+let xoshiro_of rng =
+  let w = Rng.save rng in
+  Xoshiro.of_state w.(0) w.(1) w.(2) w.(3)
+
+let xoshiro_int x bound =
+  if bound land (bound - 1) = 0 then
+    Int64.to_int (Int64.logand (Xoshiro.next x) (Int64.of_int (bound - 1)))
+  else begin
+    let bound64 = Int64.of_int bound in
+    let limit = Int64.sub Int64.max_int (Int64.rem Int64.max_int bound64) in
+    let rec draw () =
+      let v = Int64.logand (Xoshiro.next x) Int64.max_int in
+      if v >= limit then draw () else Int64.to_int (Int64.rem v bound64)
+    in
+    draw ()
+  end
+
+let xoshiro_float x bound =
+  Int64.to_float (Int64.shift_right_logical (Xoshiro.next x) 11)
+  *. (1.0 /. 9007199254740992.0) *. bound
+
+let xoshiro_bool x = Int64.logand (Xoshiro.next x) 1L = 1L
+
+let prop_rng_equals_xoshiro =
+  QCheck.Test.make ~name:"Rng replicates Xoshiro draws" ~count:300
+    QCheck.(
+      triple int64 (int_range 0 20)
+        (list_of_size (Gen.return 64)
+           (triple (int_range 0 4) (int_range 1 61) int)))
+    (fun (seed, index, ops) ->
+      let root = Rng.of_int64 seed in
+      let s0, s1, s2, s3 = Xoshiro.state (Xoshiro.of_seed seed) in
+      if Rng.save root <> [| s0; s1; s2; s3 |] then
+        QCheck.Test.fail_report "seeding differs from Xoshiro.of_seed";
+      let rng = Rng.stream root index in
+      let x = xoshiro_of rng in
+      List.for_all
+        (fun (op, bits, i) ->
+          let bound = 1 + ((i land max_int) mod (1 lsl bits)) in
+          match op with
+          | 0 -> Rng.bits64 rng = Xoshiro.next x
+          | 1 -> Rng.int rng bound = xoshiro_int x bound
+          | 2 -> Rng.int rng (1 lsl (bits - 1)) = xoshiro_int x (1 lsl (bits - 1))
+          | 3 -> Rng.bool rng = xoshiro_bool x
+          | _ ->
+              Int64.bits_of_float (Rng.float rng 3.5)
+              = Int64.bits_of_float (xoshiro_float x 3.5))
+        ops)
+
+let lane_words eng w = Array.sub (Engine.checkpoint eng).Engine.ck_prng (4 * w) 4
+
+(* Walker w of an engine draws from lane w = [Rng.stream root w]: a
+   simple random walk on a 4-regular graph takes exactly one [Rng.int _ 4]
+   per step, so after r rounds each lane is its stream advanced r draws. *)
+let lanes_replicate_streams () =
+  let g = Lazy.force fixture_regular in
   let root = Rng.create ~seed:91 () in
-  let bank = Packed.of_rng root ~walkers:4 in
-  let refs = Array.init 4 (fun w -> Rng.stream root w) in
-  Alcotest.(check int) "walkers" 4 (Packed.walkers bank);
-  for round = 0 to 63 do
-    for w = 0 to 3 do
-      Alcotest.(check int64)
-        (Printf.sprintf "bits64 w=%d round=%d" w round)
-        (Rng.bits64 refs.(w))
-        (Packed.bits64 bank w);
-      (* Mix in bounded draws: powers of two take the mask path, others
-         the 63-bit rejection path — both must consume identically. *)
-      let bound = [| 7; 8; 3; 100 |].(round mod 4) in
-      Alcotest.(check int)
-        (Printf.sprintf "int w=%d round=%d" w round)
-        (Rng.int refs.(w) bound)
-        (Packed.int bank w bound)
-    done
+  let eng = Engine.create Engine.Srw g root ~starts:[| 0; 5; 9; 30 |] in
+  let refs = Array.init 4 (Rng.stream root) in
+  for w = 0 to 3 do
+    Alcotest.(check (array int64))
+      (Printf.sprintf "lane %d at creation" w)
+      (Rng.save refs.(w)) (lane_words eng w)
+  done;
+  Engine.run_rounds eng 64;
+  for w = 0 to 3 do
+    for _ = 1 to 64 do
+      ignore (Rng.int refs.(w) 4)
+    done;
+    Alcotest.(check (array int64))
+      (Printf.sprintf "lane %d after 64 rounds" w)
+      (Rng.save refs.(w)) (lane_words eng w)
   done
 
-let packed_root_not_advanced () =
+let engine_root_not_advanced () =
+  let g = Lazy.force fixture_regular in
   let root = Rng.create ~seed:17 () in
   let before = Rng.save root in
-  let (_ : Packed.t) = Packed.of_rng root ~walkers:8 in
+  let eng =
+    Engine.create ~mode:Engine.Competing Engine.Rotor g root
+      ~starts:(Array.init 8 (fun w -> w))
+  in
+  Engine.run_rounds eng 20;
   Alcotest.(check (array int64)) "root untouched" before (Rng.save root)
 
-let packed_save_restore () =
-  let root = Rng.create ~seed:5 () in
-  let bank = Packed.of_rng root ~walkers:3 in
-  for w = 0 to 2 do
-    ignore (Packed.bits64 bank w)
+let rng_save_restore () =
+  let rng = Rng.create ~seed:5 () in
+  ignore (Rng.bits64 rng);
+  let words = Rng.save rng in
+  Alcotest.(check int) "4 words" 4 (Array.length words);
+  let rng' = Rng.restore words in
+  for _ = 0 to 9 do
+    Alcotest.(check int64) "restored stream" (Rng.bits64 rng) (Rng.bits64 rng')
   done;
-  let words = Packed.save bank in
-  Alcotest.(check int) "4 words per walker" 12 (Array.length words);
-  let bank' = Packed.restore ~walkers:3 words in
-  for w = 0 to 2 do
-    for _ = 0 to 9 do
-      Alcotest.(check int64) "restored stream" (Packed.bits64 bank w)
-        (Packed.bits64 bank' w)
-    done
-  done
+  Alcotest.check_raises "all-zero state"
+    (Invalid_argument "Rng.restore: all-zero state") (fun () ->
+      ignore (Rng.restore [| 0L; 0L; 0L; 0L |]));
+  (* An engine's checkpoint carries its lanes' words and continues them. *)
+  let g = Lazy.force fixture_regular in
+  let eng = Engine.create_spread Engine.E_uar g (Rng.create ~seed:6 ()) ~walkers:3 in
+  Engine.run_rounds eng 30;
+  let resumed = Engine.of_checkpoint g (Engine.checkpoint eng) in
+  Engine.run_rounds eng 30;
+  Engine.run_rounds resumed 30;
+  Alcotest.(check (array int64)) "lanes continue"
+    (Engine.checkpoint eng).Engine.ck_prng
+    (Engine.checkpoint resumed).Engine.ck_prng
 
-let packed_rng_of_walker () =
-  let root = Rng.create ~seed:23 () in
-  let bank = Packed.of_rng root ~walkers:2 in
-  ignore (Packed.bits64 bank 1);
-  let snap = Packed.rng_of_walker bank 1 in
-  (* The snapshot must predict the walker's future draws without
-     advancing the bank. *)
+(* A copy is a snapshot: it predicts the original's future draws without
+   advancing it, and the two share no bytes. *)
+let rng_copy_snapshots () =
+  let rng = Rng.create ~seed:23 () in
+  ignore (Rng.bits64 rng);
+  let snap = Rng.copy rng in
   let predicted = Array.init 5 (fun _ -> Rng.bits64 snap) in
   Array.iteri
     (fun i p ->
-      Alcotest.(check int64)
-        (Printf.sprintf "draw %d" i)
-        p (Packed.bits64 bank 1))
+      Alcotest.(check int64) (Printf.sprintf "draw %d" i) p (Rng.bits64 rng))
     predicted
-
-let prop_packed_equals_streams =
-  QCheck.Test.make ~name:"packed bank replicates Rng.stream draws" ~count:50
-    QCheck.(pair (int_range 1 9) (int_range 0 9999))
-    (fun (walkers, seed) ->
-      let root = Rng.create ~seed () in
-      let bank = Packed.of_rng root ~walkers in
-      let refs = Array.init walkers (fun w -> Rng.stream root w) in
-      let ok = ref true in
-      for i = 0 to 99 do
-        let w = i mod walkers in
-        let bound = 1 + (i * 7 mod 97) in
-        if Packed.int bank w bound <> Rng.int refs.(w) bound then ok := false
-      done;
-      !ok)
 
 (* -- Rng.stream derivation --------------------------------------------------- *)
 
@@ -695,14 +745,13 @@ let () =
       ( "packed",
         [
           Alcotest.test_case "replicates Rng.stream" `Quick
-            packed_matches_streams;
+            lanes_replicate_streams;
           Alcotest.test_case "root not advanced" `Quick
-            packed_root_not_advanced;
+            engine_root_not_advanced;
           Alcotest.test_case "save/restore round-trip" `Quick
-            packed_save_restore;
-          Alcotest.test_case "rng_of_walker snapshots" `Quick
-            packed_rng_of_walker;
-          qcheck prop_packed_equals_streams;
+            rng_save_restore;
+          Alcotest.test_case "copy snapshots" `Quick rng_copy_snapshots;
+          qcheck prop_rng_equals_xoshiro;
         ] );
       ( "streams",
         [
