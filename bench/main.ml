@@ -134,7 +134,7 @@ let bench_eprocess_obs_null () =
   fun () ->
     let t = Ewalk.Eprocess.create g rng ~start:0 in
     let obs = Ewalk.Observe.create () in
-    Ewalk.Observe.attach_eprocess obs t;
+    Ewalk.Observe.attach obs t;
     let p = Ewalk.Observe.instrument obs (Ewalk.Eprocess.process t) in
     Ewalk.Cover.run_steps p 10_000;
     Ewalk.Observe.finish obs p
@@ -145,7 +145,7 @@ let bench_eprocess_obs_metrics () =
   fun () ->
     let t = Ewalk.Eprocess.create g rng ~start:0 in
     let obs = Ewalk.Observe.create ~metrics:(Ewalk_obs.Metrics.create ()) () in
-    Ewalk.Observe.attach_eprocess obs t;
+    Ewalk.Observe.attach obs t;
     let p = Ewalk.Observe.instrument obs (Ewalk.Eprocess.process t) in
     Ewalk.Cover.run_steps p 10_000;
     Ewalk.Observe.finish obs p
@@ -157,8 +157,8 @@ let bench_kernel_steps ~mode proc ~seed () =
   let g = Lazy.force fixture_regular in
   let rng = Rng.create ~seed () in
   fun () ->
-    let e = Ewalk_kernel.Engine.create_spread ~mode proc g rng ~walkers:8 in
-    Ewalk_kernel.Engine.run_rounds e 1_250
+    let e = Ewalk.Engine.create_spread ~mode proc g rng ~walkers:8 in
+    Ewalk.Engine.run_rounds e 1_250
 
 (* eprocd service kernels: the whole serving stack (router, registry,
    loopback HTTP transport) measured end to end from a real client.  The
@@ -265,14 +265,14 @@ let kernels () =
     ("obs:eprocess-10k-steps-nullsink", bench_eprocess_obs_null ());
     ("obs:eprocess-10k-steps-metrics", bench_eprocess_obs_metrics ());
     ( "kernel:euar-w8-10k-steps",
-      bench_kernel_steps ~mode:Ewalk_kernel.Engine.Cooperating
-        Ewalk_kernel.Engine.E_uar ~seed:89 () );
+      bench_kernel_steps ~mode:Ewalk.Engine.Cooperating
+        Ewalk.Engine.E_uar ~seed:89 () );
     ( "kernel:competing-euar-w8-10k-steps",
-      bench_kernel_steps ~mode:Ewalk_kernel.Engine.Competing
-        Ewalk_kernel.Engine.E_uar ~seed:88 () );
+      bench_kernel_steps ~mode:Ewalk.Engine.Competing
+        Ewalk.Engine.E_uar ~seed:88 () );
     ( "kernel:srw-w8-10k-steps",
-      bench_kernel_steps ~mode:Ewalk_kernel.Engine.Cooperating
-        Ewalk_kernel.Engine.Srw ~seed:87 () );
+      bench_kernel_steps ~mode:Ewalk.Engine.Cooperating
+        Ewalk.Engine.Srw ~seed:87 () );
     ("serve:create-delete-session", bench_serve_session_churn ());
     ("serve:step-1k-over-http", bench_serve_steps ());
   ]

@@ -19,15 +19,14 @@ module Rng = Ewalk_prng.Rng
 module Expt = Ewalk_expt
 module Obs = Ewalk_obs
 module Observe = Ewalk.Observe
-module Kengine = Ewalk_kernel.Engine
-module Kobs = Ewalk_kernel.Kobs
+module Engine = Ewalk.Engine
+module Snapshot = Ewalk_resume.Snapshot
 
 let walkers_arg =
   let doc =
-    "Advance $(docv) walkers in lockstep on the multi-walker kernel engine \
-     instead of one legacy walker.  Supported by the kernel-ported \
-     processes (e-process rules, srw, rotor); W=1 keeps the legacy \
-     single-walker loop."
+    "Advance $(docv) walkers in lockstep on the walk engine (W > 1 spreads \
+     the starts from the seed; W=1 starts at vertex 0).  Supported by the \
+     engine's processes (e-process rules, srw, lazy-srw, rotor)."
   in
   Arg.(value & opt int 1 & info [ "walkers" ] ~docv:"W" ~doc)
 
@@ -510,109 +509,53 @@ let process_arg =
   in
   Arg.(value & opt string "e-process" & info [ "process" ] ~docv:"P" ~doc)
 
-(* Each spec yields the generic process plus a native-hook attacher for the
-   processes that have one (E-process, SRW); others only get the generic
-   [Observe.instrument] wrapper.  The walk starts at vertex 0. *)
-let make_process spec g rng =
+(* The engine's processes (Engine.proc_of_spec) as a generic process plus
+   the native-hook attacher; the others get only the generic
+   [Observe.instrument] wrapper. *)
+let engine_process e = (Engine.process e, fun obs -> Observe.attach obs e)
+
+let generic_process spec g rng =
   let start = 0 in
-  let eprocess ?rule () =
-    let t = Ewalk.Eprocess.create ?rule g rng ~start in
-    (Ewalk.Eprocess.process t, fun obs -> Observe.attach_eprocess obs t)
-  in
-  let srw t = (Ewalk.Srw.process t, fun obs -> Observe.attach_srw obs t) in
-  let rotor t = (Ewalk.Rotor.process t, fun obs -> Observe.attach_rotor obs t) in
-  let plain p = (p, fun (_ : Observe.t) -> ()) in
   match String.split_on_char ':' spec with
-  | [ "e-process" ] -> eprocess ()
-  | [ "e-process"; "lowest" ] -> eprocess ~rule:Ewalk.Eprocess.Lowest_slot ()
-  | [ "e-process"; "highest" ] -> eprocess ~rule:Ewalk.Eprocess.Highest_slot ()
-  | [ "srw" ] -> srw (Ewalk.Srw.create g rng ~start)
-  | [ "lazy-srw" ] -> srw (Ewalk.Srw.create_lazy g rng ~start)
-  | [ "v-process" ] ->
-      plain (Ewalk.Vprocess.process (Ewalk.Vprocess.create g rng ~start))
-  | [ "rotor" ] ->
-      rotor (Ewalk.Rotor.create ~randomize_rotors:true g rng ~start)
+  | [ "v-process" ] -> Ewalk.Vprocess.process (Ewalk.Vprocess.create g rng ~start)
   | [ "rwc"; d ] ->
-      plain
-        (Ewalk.Rwc.process
-           (Ewalk.Rwc.create ~d:(int_of_string d) g rng ~start))
+      Ewalk.Rwc.process (Ewalk.Rwc.create ~d:(int_of_string d) g rng ~start)
   | [ "luf" ] ->
-      plain
-        (Ewalk.Fair.process
-           (Ewalk.Fair.create ~random_ties:true
-              ~strategy:Ewalk.Fair.Least_used_first g rng ~start))
+      Ewalk.Fair.process
+        (Ewalk.Fair.create ~random_ties:true
+           ~strategy:Ewalk.Fair.Least_used_first g rng ~start)
   | [ "oldest" ] ->
-      plain
-        (Ewalk.Fair.process
-           (Ewalk.Fair.create ~random_ties:true
-              ~strategy:Ewalk.Fair.Oldest_first g rng ~start))
+      Ewalk.Fair.process
+        (Ewalk.Fair.create ~random_ties:true ~strategy:Ewalk.Fair.Oldest_first g
+           rng ~start)
   | [ "metropolis" ] ->
-      plain
-        (Ewalk.Metropolis.process (Ewalk.Metropolis.create g rng ~start))
+      Ewalk.Metropolis.process (Ewalk.Metropolis.create g rng ~start)
   | _ -> invalid_arg (Printf.sprintf "unknown process %S" spec)
 
-(* The specs ported to the multi-walker kernel engine: what --walkers > 1
-   can drive. *)
-let kernel_proc_of_spec spec =
-  match String.split_on_char ':' spec with
-  | [ "e-process" ] -> Some Kengine.E_uar
-  | [ "e-process"; "lowest" ] -> Some Kengine.E_lowest
-  | [ "e-process"; "highest" ] -> Some Kengine.E_highest
-  | [ "srw" ] -> Some Kengine.Srw
-  | [ "rotor" ] -> Some Kengine.Rotor
-  | _ -> None
-
-let require_kernel_proc ~cmd spec =
-  match kernel_proc_of_spec spec with
+let require_engine_proc ~cmd spec =
+  match Engine.proc_of_spec spec with
   | Some p -> p
   | None ->
       Printf.eprintf "eproc %s: process %S does not support --walkers\n" cmd
         spec;
       exit 2
 
-(* The snapshottable subset of --process specs, as Snapshot.walk values:
-   what `trace --checkpoint` can write and `trace --resume-from` restores.
-   Specs outside it (adversarial rules, weighted walks, processes without
-   a checkpoint function) return None.  With [walkers > 1] the kernel-
-   ported specs build a cooperating lockstep engine instead. *)
-let make_snapshot_walk ?(walkers = 1) spec g rng =
-  let module S = Ewalk_resume.Snapshot in
-  let start = 0 in
-  if walkers > 1 then
-    Option.map
-      (fun p -> S.Kernel (Kengine.create_spread p g rng ~walkers))
-      (kernel_proc_of_spec spec)
-  else
-    match String.split_on_char ':' spec with
-    | [ "e-process" ] ->
-        Some (S.Eprocess (Ewalk.Eprocess.create g rng ~start))
-    | [ "e-process"; "lowest" ] ->
-        Some
-          (S.Eprocess
-             (Ewalk.Eprocess.create ~rule:Ewalk.Eprocess.Lowest_slot g rng
-                ~start))
-    | [ "e-process"; "highest" ] ->
-        Some
-          (S.Eprocess
-             (Ewalk.Eprocess.create ~rule:Ewalk.Eprocess.Highest_slot g rng
-                ~start))
-    | [ "srw" ] -> Some (S.Srw (Ewalk.Srw.create g rng ~start))
-    | [ "lazy-srw" ] -> Some (S.Srw (Ewalk.Srw.create_lazy g rng ~start))
-    | [ "rotor" ] ->
-        Some
-          (S.Rotor (Ewalk.Rotor.create ~randomize_rotors:true g rng ~start))
-    | _ -> None
-
-let process_of_walk (w : Ewalk_resume.Snapshot.walk) =
-  match w with
-  | Ewalk_resume.Snapshot.Eprocess t ->
-      (Ewalk.Eprocess.process t, fun obs -> Observe.attach_eprocess obs t)
-  | Ewalk_resume.Snapshot.Srw t ->
-      (Ewalk.Srw.process t, fun obs -> Observe.attach_srw obs t)
-  | Ewalk_resume.Snapshot.Rotor t ->
-      (Ewalk.Rotor.process t, fun obs -> Observe.attach_rotor obs t)
-  | Ewalk_resume.Snapshot.Kernel k ->
-      (Kengine.process k, fun obs -> Kobs.attach obs k)
+(* Build the walk a --process spec names.  An engine process (the
+   snapshottable ones, which `trace --checkpoint` can write) comes back
+   with its engine: one walker at vertex 0, or [walkers] cooperating
+   walkers spread from [rng].  Other specs are single-walker generic
+   processes. *)
+let make_process ~cmd ~walkers spec g rng =
+  match Engine.proc_of_spec spec with
+  | Some p ->
+      let e =
+        if walkers > 1 then Engine.create_spread p g rng ~walkers
+        else Engine.single p g rng ~start:0
+      in
+      (Some e, engine_process e)
+  | None ->
+      if walkers > 1 then ignore (require_engine_proc ~cmd spec);
+      (None, (generic_process spec g rng, fun (_ : Observe.t) -> ()))
 
 let cover_cmd =
   let edges_arg =
@@ -665,26 +608,20 @@ let cover_cmd =
           let cap = Ewalk.Cover.default_cap g in
           let t =
             if compete then begin
-              let kp = require_kernel_proc ~cmd:"cover" process in
+              let kp = require_engine_proc ~cmd:"cover" process in
               let eng =
-                Kengine.create_spread ~mode:Kengine.Competing kp g rng ~walkers
+                Engine.create_spread ~mode:Engine.Competing kp g rng ~walkers
               in
-              Option.iter (fun obs -> Kobs.attach obs eng) obs;
+              Option.iter (fun obs -> Observe.attach obs eng) obs;
               let r =
-                Option.map snd (Kengine.run_until_first_cover ~cap eng)
+                Option.map snd (Engine.run_until_first_cover ~cap eng)
               in
               Option.iter Observe.flush obs;
               r
             end
             else begin
-              let p, attach_native =
-                if walkers > 1 then begin
-                  let kp = require_kernel_proc ~cmd:"cover" process in
-                  let eng = Kengine.create_spread kp g rng ~walkers in
-                  ( Kengine.process eng,
-                    fun obs -> Kobs.attach obs eng )
-                end
-                else make_process process g rng
+              let _, (p, attach_native) =
+                make_process ~cmd:"cover" ~walkers process g rng
               in
               let p =
                 match obs with
@@ -872,44 +809,44 @@ let trace_cmd =
                --edges is not supported\n";
             exit 2
           end;
-          let kp = require_kernel_proc ~cmd:"trace" process in
+          let kp = require_engine_proc ~cmd:"trace" process in
           let eng, resumed_at =
             match resume_from with
             | Some path -> (
-                match Ewalk_resume.Snapshot.read_with_id g ~path with
+                match Snapshot.read_with_id g ~path with
                 | Error e ->
                     Printf.eprintf "eproc trace: %s: %s\n" path
-                      (Ewalk_resume.Snapshot.error_to_string e);
+                      (Snapshot.error_to_string e);
                     exit 2
-                | Ok (Ewalk_resume.Snapshot.Kernel k, snap_run)
-                  when Kengine.mode k = Kengine.Competing ->
+                | Ok (Snapshot.Kernel k, snap_run)
+                  when Engine.mode k = Engine.Competing ->
                     adopt_parent_run snap_run.Obs.Runlog.run_id;
-                    (k, Some (Kengine.steps k))
+                    (k, Some (Engine.steps k))
                 | Ok _ ->
                     Printf.eprintf
                       "eproc trace: %s is not a competing kernel snapshot\n"
                       path;
                     exit 2)
             | None ->
-                ( Kengine.create_spread ~mode:Kengine.Competing kp g rng
+                ( Engine.create_spread ~mode:Engine.Competing kp g rng
                     ~walkers,
                   None )
           in
           let all_covered () =
-            let w = Kengine.walkers eng in
+            let w = Engine.walkers eng in
             let rec go i =
               i >= w
-              || (Kengine.walker_cover_step eng i <> None && go (i + 1))
+              || (Engine.walker_cover_step eng i <> None && go (i + 1))
             in
             go 0
           in
           Obs.Trace.emit sink
             (Obs.Trace.Run_start
                {
-                 name = Kengine.name eng;
+                 name = Engine.name eng;
                  n = Graph.n g;
                  m = Graph.m g;
-                 start = Kengine.position eng;
+                 start = Engine.position eng;
                });
           (match Obs.Runlog.current () with
           | Some r ->
@@ -923,7 +860,7 @@ let trace_cmd =
           Option.iter
             (fun step -> Obs.Trace.emit sink (Obs.Trace.Resume { step }))
             resumed_at;
-          Kengine.set_observer eng
+          Engine.set_observer eng
             (Some (fun ~walker:_ ev -> Obs.Trace.emit sink ev));
           (match checkpoint with
           | Some path -> Obs.Runlog.note_artifact ~key:"checkpoint" ~path
@@ -934,19 +871,19 @@ let trace_cmd =
             | Some c -> c
             | None -> Ewalk.Cover.default_cap g
           in
-          while Kengine.steps eng < cap && not (all_covered ()) do
-            Kengine.step eng;
-            let step = Kengine.steps eng in
+          while Engine.steps eng < cap && not (all_covered ()) do
+            Engine.step eng;
+            let step = Engine.steps eng in
             match checkpoint with
             | Some path when step mod checkpoint_every = 0 ->
                 (match
-                   Ewalk_resume.Snapshot.write ~path
-                     (Ewalk_resume.Snapshot.Kernel eng)
+                   Snapshot.write ~path
+                     (Snapshot.Kernel eng)
                  with
                 | Ok () -> ()
                 | Error e ->
                     Printf.eprintf "eproc trace: %s: %s\n" path
-                      (Ewalk_resume.Snapshot.error_to_string e);
+                      (Snapshot.error_to_string e);
                     exit 2);
                 Obs.Trace.emit sink (Obs.Trace.Checkpoint { step });
                 Obs.Metrics.incr checkpoints_c
@@ -954,52 +891,43 @@ let trace_cmd =
           done;
           let covered = all_covered () in
           Obs.Trace.emit sink
-            (Obs.Trace.Run_end { steps = Kengine.steps eng; covered });
+            (Obs.Trace.Run_end { steps = Engine.steps eng; covered });
           Obs.Trace.close sink;
           if covered then
             Printf.eprintf
               "%s: every walker covered its own vertices of %s (n=%d, \
                m=%d) by total step %d\n"
-              (Kengine.name eng) family (Graph.n g) (Graph.m g)
-              (Kengine.steps eng)
+              (Engine.name eng) family (Graph.n g) (Graph.m g)
+              (Engine.steps eng)
           else
             Printf.eprintf "%s hit the %d-step cap before all walkers \
                             covered\n"
-              (Kengine.name eng) cap;
+              (Engine.name eng) cap;
           write_metrics_files ()
         end
         else begin
-          let walk_opt, (p, attach_native), resumed_at =
+          let engine, (p, attach_native), resumed_at =
             match resume_from with
             | Some path -> (
-                match Ewalk_resume.Snapshot.read_with_id g ~path with
+                match Snapshot.read_with_id g ~path with
                 | Error e ->
                     Printf.eprintf "eproc trace: %s: %s\n" path
-                      (Ewalk_resume.Snapshot.error_to_string e);
+                      (Snapshot.error_to_string e);
                     exit 2
                 | Ok (w, snap_run) ->
                     (* Adopt before instrumentation so the trace prologue's
                        run_info and any checkpoint written by this leg carry
                        the child id. *)
                     adopt_parent_run snap_run.Obs.Runlog.run_id;
-                    ( Some w,
-                      process_of_walk w,
-                      Some (Ewalk_resume.Snapshot.walk_steps w) ))
-            | None -> (
-                match make_snapshot_walk ~walkers process g rng with
-                | Some w -> (Some w, process_of_walk w, None)
-                | None ->
-                    if walkers > 1 then begin
-                      Printf.eprintf
-                        "eproc trace: process %S does not support --walkers\n"
-                        process;
-                      exit 2
-                    end;
-                    (None, make_process process g rng, None))
+                    let e = Snapshot.engine w in
+                    (Some e, engine_process e, Some (Engine.steps e)))
+            | None ->
+                let e, p = make_process ~cmd:"trace" ~walkers process g rng in
+                (e, p, None)
           in
           let pname =
-            match (resume_from, walk_opt) with
-            | Some _, Some w -> Ewalk_resume.Snapshot.kind_name w
+            match (resume_from, engine) with
+            | Some _, Some e -> Engine.name e
             | _ -> process
           in
           attach_native obs;
@@ -1009,8 +937,8 @@ let trace_cmd =
             | None -> p
             | Some path ->
                 let w =
-                  match walk_opt with
-                  | Some w -> w
+                  match engine with
+                  | Some e -> Snapshot.of_engine e
                   | None ->
                       Printf.eprintf
                         "eproc trace: process %S cannot be checkpointed\n"
@@ -1022,11 +950,11 @@ let trace_cmd =
                 Ewalk.Cover.with_step_hook p ~hook:(fun p ->
                     let step = p.Ewalk.Cover.steps_done () in
                     if step mod checkpoint_every = 0 then begin
-                      (match Ewalk_resume.Snapshot.write ~path w with
+                      (match Snapshot.write ~path w with
                       | Ok () -> ()
                       | Error e ->
                           Printf.eprintf "eproc trace: %s: %s\n" path
-                            (Ewalk_resume.Snapshot.error_to_string e);
+                            (Snapshot.error_to_string e);
                           exit 2);
                       Obs.Trace.emit sink (Obs.Trace.Checkpoint { step });
                       Obs.Metrics.incr checkpoints_c
@@ -1272,9 +1200,9 @@ let checkpoint_inspect_cmd =
     let result =
       if is_dir then Ewalk_resume.Campaign.describe ~dir:path
       else
-        match Ewalk_resume.Snapshot.describe ~path with
+        match Snapshot.describe ~path with
         | Ok s -> Ok s
-        | Error e -> Error (Ewalk_resume.Snapshot.error_to_string e)
+        | Error e -> Error (Snapshot.error_to_string e)
     in
     match result with
     | Ok s -> print_endline s

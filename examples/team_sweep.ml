@@ -2,9 +2,10 @@
 
    A fleet of robots explores a network; each robot prefers corridors
    (edges) nobody has traversed yet, and they share their map.  This is the
-   Team extension of the E-process (DESIGN.md section 4, beyond the paper):
-   the shared unvisited-edge marks mean total work stays ~2n regardless of
-   fleet size, so the wall-clock time divides by k almost perfectly.
+   team extension of the E-process (DESIGN.md section 4, beyond the paper):
+   k cooperating walkers of one engine, whose shared unvisited-edge marks
+   mean total work stays ~2n regardless of fleet size, so the wall-clock
+   time divides by k almost perfectly.
 
    Run with:  dune exec examples/team_sweep.exe *)
 
@@ -23,12 +24,8 @@ let () =
   List.iter
     (fun k ->
       let rng = Rng.create ~seed:(100 + k) () in
-      let team = Ewalk_kernel.Team.create_spread g rng ~walkers:k in
-      match
-        Ewalk.Cover.run_until_vertex_cover
-          ~cap:(Ewalk.Cover.default_cap g)
-          (Ewalk_kernel.Team.process team)
-      with
+      let team = Ewalk.Engine.create_spread Ewalk.Engine.E_uar g rng ~walkers:k in
+      match Ewalk.Engine.run_to_vertex_cover team with
       | Some steps ->
           let rounds = float_of_int steps /. float_of_int k in
           if k = 1 then base := rounds;

@@ -3,6 +3,7 @@ module Rng = Ewalk_prng.Rng
 module Eprocess = Ewalk.Eprocess
 module Srw = Ewalk.Srw
 module Rotor = Ewalk.Rotor
+module Engine = Ewalk.Engine
 module Coverage = Ewalk.Coverage
 module Pool = Ewalk_par.Pool
 
@@ -28,16 +29,19 @@ type case = {
 let case_name c =
   Printf.sprintf "%s/%s/seed=%d" c.label (mode_name c.mode) c.seed
 
-(* Feed a production process's native Step events through an invariant
+(* Feed a production walk's native Step events through an invariant
    monitor, keeping the first violation. *)
-let monitor_observer inv first (ev : Ewalk_obs.Trace.event) =
-  match ev with
-  | Ewalk_obs.Trace.Step { step; vertex; edge; blue } -> (
-      match Invariant.on_step inv ~step ~vertex ~edge ~blue with
-      | Some v when !first = None ->
-          first := Some (Invariant.violation_to_string v)
-      | _ -> ())
-  | _ -> ()
+let attach_monitor prod inv first =
+  Engine.set_observer prod
+    (Some
+       (fun ~walker:_ (ev : Ewalk_obs.Trace.event) ->
+         match ev with
+         | Ewalk_obs.Trace.Step { step; vertex; edge; blue } -> (
+             match Invariant.on_step inv ~step ~vertex ~edge ~blue with
+             | Some v when !first = None ->
+                 first := Some (Invariant.violation_to_string v)
+             | _ -> ())
+         | _ -> ()))
 
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
 
@@ -87,7 +91,7 @@ let eprocess_lockstep c =
   in
   let inv = Invariant.create ~rule:inv_rule g ~start:0 in
   let first = ref None in
-  Eprocess.set_observer prod (Some (monitor_observer inv first));
+  attach_monitor prod inv first;
   let cov = Eprocess.coverage prod in
   let divergence = ref None in
   let steps = ref 0 in
@@ -133,7 +137,7 @@ let srw_lockstep c =
   let orc = Oracle.Srw.create g (Rng.create ~seed:c.seed ()) ~start:0 in
   let inv = Invariant.create ~prefers_unvisited:false g ~start:0 in
   let first = ref None in
-  Srw.set_observer prod (Some (monitor_observer inv first));
+  attach_monitor prod inv first;
   let cov = Srw.coverage prod in
   let divergence = ref None in
   let steps = ref 0 in
@@ -175,7 +179,7 @@ let rotor_lockstep c =
   in
   let inv = Invariant.create ~prefers_unvisited:false g ~start:0 in
   let first = ref None in
-  Rotor.set_observer prod (Some (monitor_observer inv first));
+  attach_monitor prod inv first;
   let check_offsets where =
     let bad = ref None in
     for v = 0 to Graph.n g - 1 do
@@ -273,10 +277,15 @@ let report_line r =
 
 let distinct xs = List.length (List.sort_uniq compare xs)
 
+(* A step that raises fails its own case, named in the report, instead of
+   escaping the pool and taking every other case's result with it. *)
+let isolated run c =
+  try run c with e -> err "raised %s" (Printexc.to_string e)
+
 let run_suite ?jobs cases =
   let arr = Array.of_list cases in
   let results =
-    Pool.with_pool ?jobs (fun pool -> Pool.map_array pool run_case arr)
+    Pool.with_pool ?jobs (fun pool -> Pool.map_array pool (isolated run_case) arr)
   in
   let steps = ref 0 and failures = ref [] in
   Array.iteri
@@ -296,8 +305,6 @@ let run_suite ?jobs cases =
 
 (* --- kernel differential battery -------------------------------------- *)
 
-module Engine = Ewalk_kernel.Engine
-
 type kernel_case = {
   k_label : string;
   k_graph : Graph.t;
@@ -316,7 +323,9 @@ let kernel_proc_name = function
   | Engine.E_uar -> "uar"
   | Engine.E_lowest -> "lowest-slot"
   | Engine.E_highest -> "highest-slot"
+  | Engine.E_adversarial _ -> "adversarial"
   | Engine.Srw -> "srw"
+  | Engine.Lazy_srw -> "lazy-srw"
   | Engine.Rotor -> "rotor"
 
 let kernel_case_name c =
@@ -330,7 +339,10 @@ let oracle_proc = function
   | Engine.E_lowest -> Oracle.Kernel.E_lowest
   | Engine.E_highest -> Oracle.Kernel.E_highest
   | Engine.Srw -> Oracle.Kernel.Srw_walk
+  | Engine.Lazy_srw -> Oracle.Kernel.Lazy_srw_walk
   | Engine.Rotor -> Oracle.Kernel.Rotor_walk
+  | Engine.E_adversarial _ ->
+      invalid_arg "Differential: an adversarial rule has no naive oracle"
 
 let oracle_mode = function
   | Engine.Cooperating -> Oracle.Kernel.Cooperating
@@ -364,8 +376,10 @@ let kernel_monitors c g starts =
   else begin
     let prefers =
       match c.k_proc with
-      | Engine.E_uar | Engine.E_lowest | Engine.E_highest -> true
-      | Engine.Srw | Engine.Rotor -> false
+      | Engine.E_uar | Engine.E_lowest | Engine.E_highest
+      | Engine.E_adversarial _ ->
+          true
+      | Engine.Srw | Engine.Lazy_srw | Engine.Rotor -> false
     in
     let rule =
       match c.k_proc with
@@ -397,32 +411,34 @@ let attach_kernel_monitors eng monitors first =
              | _ -> ()))
 
 let check_kernel_rotors c eng orc where =
-  if c.k_proc <> Engine.Rotor then Ok ()
-  else begin
-    let g = c.k_graph in
-    let bad = ref None in
-    (match c.k_mode with
-    | Engine.Cooperating ->
-        for v = 0 to Graph.n g - 1 do
-          if
-            !bad = None
-            && Engine.rotor_offset eng v <> Oracle.Kernel.rotor_offset orc 0 v
-          then bad := Some (0, v)
-        done
-    | Engine.Competing ->
-        for w = 0 to c.k_walkers - 1 do
+  match c.k_proc with
+  | Engine.E_uar | Engine.E_lowest | Engine.E_highest | Engine.E_adversarial _
+  | Engine.Srw | Engine.Lazy_srw ->
+      Ok ()
+  | Engine.Rotor ->
+      let g = c.k_graph in
+      let bad = ref None in
+      (match c.k_mode with
+      | Engine.Cooperating ->
           for v = 0 to Graph.n g - 1 do
             if
               !bad = None
-              && Engine.walker_rotor_offset eng w v
-                 <> Oracle.Kernel.rotor_offset orc w v
-            then bad := Some (w, v)
+              && Engine.rotor_offset eng v <> Oracle.Kernel.rotor_offset orc 0 v
+            then bad := Some (0, v)
           done
-        done);
-    match !bad with
-    | Some (w, v) -> err "%s: rotor offset of walker %d at vertex %d diverges" where w v
-    | None -> Ok ()
-  end
+      | Engine.Competing ->
+          for w = 0 to c.k_walkers - 1 do
+            for v = 0 to Graph.n g - 1 do
+              if
+                !bad = None
+                && Engine.walker_rotor_offset eng w v
+                   <> Oracle.Kernel.rotor_offset orc w v
+              then bad := Some (w, v)
+            done
+          done);
+      match !bad with
+      | Some (w, v) -> err "%s: rotor offset of walker %d at vertex %d diverges" where w v
+      | None -> Ok ()
 
 (* Every configuration: full RNG lockstep, one engine walker-step against
    one oracle walker-step, comparing the moved walker's position and blue
@@ -530,7 +546,14 @@ let run_kernel_case c =
 
 let stock_kernel_cases ?(walkers = [ 1; 4; 17 ]) ?(seeds = [ 1; 2; 3 ]) () =
   let procs =
-    [ Engine.E_uar; Engine.E_lowest; Engine.E_highest; Engine.Srw; Engine.Rotor ]
+    [
+      Engine.E_uar;
+      Engine.E_lowest;
+      Engine.E_highest;
+      Engine.Srw;
+      Engine.Lazy_srw;
+      Engine.Rotor;
+    ]
   in
   let kmodes = [ Engine.Cooperating; Engine.Competing ] in
   List.concat_map
@@ -562,7 +585,8 @@ let stock_kernel_cases ?(walkers = [ 1; 4; 17 ]) ?(seeds = [ 1; 2; 3 ]) () =
 let run_kernel_suite ?jobs cases =
   let arr = Array.of_list cases in
   let results =
-    Pool.with_pool ?jobs (fun pool -> Pool.map_array pool run_kernel_case arr)
+    Pool.with_pool ?jobs (fun pool ->
+        Pool.map_array pool (isolated run_kernel_case) arr)
   in
   let steps = ref 0 and failures = ref [] in
   Array.iteri
@@ -576,7 +600,10 @@ let run_kernel_suite ?jobs cases =
     graphs = distinct (List.map (fun c -> c.k_label) cases);
     seeds = distinct (List.map (fun c -> c.k_seed) cases);
     modes =
-      distinct (List.map (fun c -> (c.k_proc, c.k_mode, c.k_walkers)) cases);
+      distinct
+        (List.map
+           (fun c -> (kernel_proc_name c.k_proc, c.k_mode, c.k_walkers))
+           cases);
     steps = !steps;
     failures = List.rev !failures;
   }

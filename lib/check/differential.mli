@@ -64,11 +64,12 @@ val run_suite : ?jobs:int -> case list -> report
 (** Run every case, sharded over an {!Ewalk_par.Pool} of [jobs] domains
     (default {!Ewalk_par.Pool.default_jobs}, i.e. the [EWALK_JOBS]
     environment variable).  Case outcomes are positional, so the report is
-    identical for every job count. *)
+    identical for every job count.  A case whose run raises is that case's
+    failure, named in [failures]; the other cases still run and count. *)
 
 (** {1 Kernel battery}
 
-    The multi-walker counterpart: [Ewalk_kernel.Engine] vs
+    The multi-walker counterpart: {!Ewalk.Engine} vs
     {!Oracle.Kernel} over the same stock graphs, crossed with walker
     counts and cooperating/competing modes.  Every configuration runs in
     full RNG lockstep — one engine walker-step against one oracle
@@ -84,8 +85,8 @@ type kernel_case = {
   k_graph : Graph.t;
   k_seed : int;
   k_walkers : int;
-  k_mode : Ewalk_kernel.Engine.mode;
-  k_proc : Ewalk_kernel.Engine.proc;
+  k_mode : Ewalk.Engine.mode;
+  k_proc : Ewalk.Engine.proc;
   k_max_steps : int;  (** per-walker step budget *)
 }
 
@@ -100,7 +101,8 @@ val run_kernel_case : kernel_case -> (int, string) result
 val stock_kernel_cases :
   ?walkers:int list -> ?seeds:int list -> unit -> kernel_case list
 (** Stock graphs x [seeds] (default [[1; 2; 3]]) x [walkers] (default
-    [[1; 4; 17]]) x all five kernel processes x both modes. *)
+    [[1; 4; 17]]) x the six engine processes with a naive oracle (the
+    three E-process rules, SRW, lazy SRW, rotor) x both modes. *)
 
 val run_kernel_suite : ?jobs:int -> kernel_case list -> report
 (** Like {!run_suite}; [modes] counts distinct

@@ -131,11 +131,11 @@ module Kernel = struct
      engine and stays in full RNG lockstep. *)
 
   type mode = Cooperating | Competing
-  type proc = E_uar | E_lowest | E_highest | Srw_walk | Rotor_walk
+  type proc = E_uar | E_lowest | E_highest | Srw_walk | Lazy_srw_walk | Rotor_walk
 
   let prefers = function
     | E_uar | E_lowest | E_highest -> true
-    | Srw_walk | Rotor_walk -> false
+    | Srw_walk | Lazy_srw_walk | Rotor_walk -> false
 
   type t = {
     g : Graph.t;
@@ -176,11 +176,10 @@ module Kernel = struct
           if deg > 0 then Rng.int r deg else 0)
     in
     let rotors =
-      if proc <> Rotor_walk then Array.make w [||]
-      else
-        match mode with
-        | Cooperating -> Array.make w (mk_rotor rngs.(0))
-        | Competing -> Array.init w (fun i -> mk_rotor rngs.(i))
+      match (proc, mode) with
+      | Rotor_walk, Cooperating -> Array.make w (mk_rotor rngs.(0))
+      | Rotor_walk, Competing -> Array.init w (fun i -> mk_rotor rngs.(i))
+      | _ -> Array.make w [||]
     in
     let visits =
       match mode with
@@ -239,32 +238,38 @@ module Kernel = struct
     let rng = t.rngs.(w) in
     let blue_offsets = if prefers t.proc then unvisited_offsets t w v else [] in
     let blue = blue_offsets <> [] in
+    (* The offset taken, or [None] for a lazy stay (heads of the coin). *)
     let i =
       match t.proc with
       | E_uar | E_lowest | E_highest -> (
           match blue_offsets with
-          | [] -> Rng.int rng deg
-          | offs -> (
-              match t.proc with
-              | E_uar -> List.nth offs (Rng.int rng (List.length offs))
-              | E_lowest -> List.hd offs
-              | E_highest -> List.nth offs (List.length offs - 1)
-              | _ -> assert false))
-      | Srw_walk -> Rng.int rng deg
+          | [] -> Some (Rng.int rng deg)
+          | offs ->
+              Some
+                (match t.proc with
+                | E_uar -> List.nth offs (Rng.int rng (List.length offs))
+                | E_lowest -> List.hd offs
+                | E_highest -> List.nth offs (List.length offs - 1)
+                | _ -> assert false))
+      | Srw_walk -> Some (Rng.int rng deg)
+      | Lazy_srw_walk -> if Rng.bool rng then None else Some (Rng.int rng deg)
       | Rotor_walk ->
           let rot = t.rotors.(w) in
           let r = rot.(v) in
           rot.(v) <- (r + 1) mod deg;
-          r
+          Some r
     in
-    let e = Graph.neighbor_edge t.g v i in
-    let dest = Graph.neighbor t.g v i in
     t.wsteps.(w) <- t.wsteps.(w) + 1;
     if blue then t.wblue.(w) <- t.wblue.(w) + 1
     else t.wred.(w) <- t.wred.(w) + 1;
-    t.visited.(w).(e) <- true;
-    t.pos.(w) <- dest;
-    Visits.visit t.visits.(w) dest
+    match i with
+    | None -> ()
+    | Some i ->
+        let e = Graph.neighbor_edge t.g v i in
+        let dest = Graph.neighbor t.g v i in
+        t.visited.(w).(e) <- true;
+        t.pos.(w) <- dest;
+        Visits.visit t.visits.(w) dest
 end
 
 module Rotor = struct

@@ -65,18 +65,20 @@ end
     scans.
 
     RNG alignment: every configuration consumes draws in the same order
-    and with the same bounds as [Ewalk_kernel.Engine], so identical
+    and with the same bounds as {!Ewalk.Engine}, so identical
     seeding reproduces the engine's trajectory bit for bit. *)
 module Kernel : sig
   type mode = Cooperating | Competing
-  type proc = E_uar | E_lowest | E_highest | Srw_walk | Rotor_walk
+  type proc = E_uar | E_lowest | E_highest | Srw_walk | Lazy_srw_walk | Rotor_walk
+  (** [Lazy_srw_walk] flips [Rng.bool] first: heads stays put (a step
+      with no edge), tails takes the [Srw_walk] draw. *)
 
   type t
 
   val create : ?mode:mode -> proc -> Graph.t -> Rng.t -> starts:int array -> t
   (** Default mode: {!Cooperating}.  Rotor offsets are randomized from the
       owning walker's stream (walker 0's in cooperating mode), matching
-      [Engine.create ~randomize_rotors:true].  [rng] is not advanced.
+      [Ewalk.Engine.create ~randomize_rotors:true].  [rng] is not advanced.
       @raise Invalid_argument on no walkers or a start out of range. *)
 
   val step : t -> unit

@@ -1,19 +1,21 @@
-(** Batched multi-walker lockstep engine.
+(** The walk engine: the one implementation that steps every walk.
 
-    The engine advances W walkers over one shared graph in round-robin
-    lockstep, with all per-walker state held struct-of-arrays style: a flat
-    [int array] of positions, one {!Ewalk_prng.Rng.t} lane per walker
-    (walker [w] draws from [Rng.stream root w], so no two walkers ever
-    share a PRNG stream), and {!Ewalk.Arc_marks} visited-edge marks.
+    Theorem 1 holds for every rule A, so the E-process is one loop with a
+    pluggable choice; the simple random walk, its lazy variant and the
+    rotor-router are other choice functions on the same loop.  The engine
+    runs that loop for W walkers over one graph in round-robin lockstep,
+    with all per-walker state held struct-of-arrays style: a flat
+    [int array] of positions, one {!Ewalk_prng.Rng.t} lane per walker,
+    and {!Arc_marks} visited-edge marks.  {!Eprocess}, {!Srw} and
+    {!Rotor} are names and constructors over a one-walker engine
+    ({!single}).
 
     Two marking disciplines:
 
     - {e cooperating}: all walkers share one set of marks and one
-      {!Ewalk.Coverage} table — a blue edge retired by any walker
-      is gone for every walker.  Steps advance a global clock; the engine
-      is checkpointable and exposes a {!Ewalk.Cover.process} adapter.  A
-      1-walker cooperating engine is bit-identical to the legacy
-      single-walker loop: same draws, same trace events, same tables.
+      {!Coverage} table — a blue edge retired by any walker is gone for
+      every walker.  Steps advance a global clock; the engine exposes a
+      {!Cover.process} adapter.
     - {e competing}: every walker carries private marks and a private
       vertex set, so walkers are mutually independent and walker blocks
       shard across domains via {!Ewalk_par.Pool} ({!run_rounds}) with
@@ -21,26 +23,45 @@
       walker-local.
 
     E-process blue choices in both modes index the live slots in adjacency
-    order with the functions {!Ewalk.Eprocess} uses — exactly the naive
-    [Ewalk_check.Oracle] protocol. *)
+    order — exactly the naive [Ewalk_check.Oracle] protocol. *)
 
 open Ewalk_graph
 
 type mode = Cooperating | Competing
 
-type proc = E_uar | E_lowest | E_highest | Srw | Rotor
-(** The ported step functions: the three E-process rules, the simple
-    random walk, and the rotor-router. *)
+type t
+
+type proc =
+  | E_uar  (** E-process, uniform among unvisited incident edges *)
+  | E_lowest  (** E-process, first unvisited edge in adjacency order *)
+  | E_highest  (** E-process, last unvisited edge in adjacency order *)
+  | E_adversarial of (t -> Graph.edge array -> int)
+      (** E-process under an online adversary: it sees the engine (whose
+          {!position} is the stepping walker's vertex) and that walker's
+          unvisited incident edges in adjacency order, a self-loop listed
+          once, and returns the index of its choice; an out-of-range
+          answer is clamped.  A closure: such engines cannot be
+          checkpointed.  Compare procs by pattern matching, never with
+          [=]. *)
+  | Srw  (** simple random walk *)
+  | Lazy_srw
+      (** lazy simple random walk: a fair coin ({!Ewalk_prng.Rng.bool})
+          first; heads stays put — one step, a move with no edge,
+          [edge = -1] in its [Step] event — tails takes the SRW draw *)
+  | Rotor  (** rotor-router *)
+
+val proc_of_spec : string -> proc option
+(** The process table shared by the command line and the session
+    service: ["e-process"], ["e-process:lowest"], ["e-process:highest"],
+    ["srw"], ["lazy-srw"] and ["rotor"]. *)
 
 type phase_kind = Blue | Red
 
 type fault = Skip_preference | Reuse_prng_word | Torn_soa
 (** Deliberate defects for the mutation-kill battery (see {!set_fault}):
     take the red draw even when unvisited edges remain; draw every
-    walker's randomness from walker 0's PRNG words; write the landing
-    position into the {e next} walker's SoA slot. *)
-
-type t
+    walker's randomness from walker 0's lane; write the landing position
+    into the {e next} walker's SoA slot. *)
 
 val create :
   ?mode:mode ->
@@ -51,13 +72,22 @@ val create :
   starts:int array ->
   t
 (** [create proc g rng ~starts] builds a [length starts]-walker engine,
-    walker [w] starting at [starts.(w)] and drawing from
-    [Rng.stream rng w].  [mode] defaults to [Cooperating];
-    [randomize_rotors] (default [true]) seeds rotor offsets from the
-    owning walker's stream like [Rotor.create ~randomize_rotors:true].
-    [rng] itself is not advanced.
+    walker [w] starting at [starts.(w)] and drawing from lane
+    [Rng.stream rng w] (lane 0 is a copy of [rng]).  [mode] defaults to
+    [Cooperating]; [randomize_rotors] (default [true]) draws each rotor
+    offset from the owning walker's lane, in vertex order.  [rng] itself
+    is not advanced.
     @raise Invalid_argument on an empty graph, no walkers, or a start
     out of range. *)
+
+val single :
+  ?randomize_rotors:bool -> proc -> Graph.t -> Ewalk_prng.Rng.t ->
+  start:Graph.vertex -> t
+(** [single proc g rng ~start] is a one-walker cooperating engine whose
+    lane is [rng] itself: every draw, rotor offsets included, advances the
+    caller's generator — the engine behind {!Eprocess.create},
+    {!Srw.create} and {!Rotor.create}.
+    @raise Invalid_argument on an empty graph or a start out of range. *)
 
 val create_spread :
   ?mode:mode ->
@@ -68,8 +98,7 @@ val create_spread :
   walkers:int ->
   t
 (** Like {!create} with [walkers] uniform start vertices drawn from [rng]
-    (advancing it — the per-walker streams then derive from the advanced
-    state, as the legacy [Team.create_spread] drew its starts). *)
+    (advancing it — the lanes then derive from the advanced state). *)
 
 (** {1 Stepping} *)
 
@@ -81,31 +110,45 @@ val step : t -> unit
 val step_round : t -> unit
 (** One full round: every walker takes one step, in walker order. *)
 
+val run_steps : t -> int -> unit
+(** [run_steps t k]: [k] calls of {!step} in a tight loop.
+    @raise Invalid_argument if [k < 0]. *)
+
+val run_to_vertex_cover : ?cap:int -> t -> int option
+(** Cooperating mode: step until every vertex is visited (or the clock
+    reaches [cap], default {!Cover.default_cap}); the cover step if
+    reached.  @raise Invalid_argument in competing mode. *)
+
+val run_to_edge_cover : ?cap:int -> t -> int option
+(** Likewise for every edge. *)
+
 val run_rounds : ?pool:Ewalk_par.Pool.t -> t -> int -> unit
 (** [run_rounds ?pool t r] advances every walker [r] steps.  In competing
     mode with a multi-lane pool, no observers and no fault injected, the
     walker blocks run sharded across the pool's domains; the final state
     is identical to the sequential path at any job count (walkers are
     independent).  Cooperating mode always steps sequentially (the
-    shared marks impose the round-robin order). *)
+    shared marks impose the round-robin order).
+    @raise Invalid_argument if [r < 0]. *)
 
 val run_until_first_cover :
   ?pool:Ewalk_par.Pool.t -> ?block:int -> ?cap:int -> t -> (int * int) option
 (** Competing mode only: advance in [block]-round bursts (default 64)
     until some walker has seen every vertex or every walker has taken
-    [cap] steps (default {!Ewalk.Cover.default_cap}).  Returns
+    [cap] steps (default {!Cover.default_cap}).  Returns
     [Some (walker, cover_step)] for the walker with the smallest
     walker-local cover step (lowest index on ties) — deterministic and
     independent of [?pool].  @raise Invalid_argument in cooperating mode
-    (use {!process} with {!Ewalk.Cover.run_until_vertex_cover}). *)
+    (use {!process} with {!Cover.run_until_vertex_cover}). *)
 
 (** {1 Observation} *)
 
 val set_observer : t -> (walker:int -> Ewalk_obs.Trace.event -> unit) option -> unit
 (** Per-step observer: receives every [Step] and [Phase] event tagged
     with the walker index.  Event [step] stamps are global in
-    cooperating mode and walker-local in competing mode.  At W=1
-    cooperating, the stream is bit-identical to the legacy processes'. *)
+    cooperating mode and walker-local in competing mode.  A [Phase] event
+    opens each maximal blue or red run of an edge-preferring walker,
+    stamped with the pre-step clock and vertex. *)
 
 val set_phase_observer :
   t -> (walker:int -> Ewalk_obs.Trace.event -> unit) option -> unit
@@ -127,10 +170,11 @@ val positions : t -> int array
 val walker_position : t -> int -> int
 
 val cursor : t -> int
-(** The walker that will move on the next {!step}. *)
+(** The walker that will move on the next {!step} (during a step: the
+    stepping walker). *)
 
 val position : t -> int
-(** The cursor walker's position (the legacy [Team.position ()] view). *)
+(** The cursor walker's position — a one-walker engine's position. *)
 
 val steps : t -> int
 (** Total steps across all walkers (both modes). *)
@@ -142,11 +186,11 @@ val walker_steps : t -> int -> int
 val walker_blue_steps : t -> int -> int
 val walker_red_steps : t -> int -> int
 
-val coverage : t -> Ewalk.Coverage.t
+val coverage : t -> Coverage.t
 (** The shared coverage table.  @raise Invalid_argument in competing
     mode. *)
 
-val marks : t -> Ewalk.Arc_marks.t
+val marks : t -> Arc_marks.t
 (** Cooperating E-process engines: the shared visited-edge marks (not a
     copy), which always hold exactly the edges {!coverage} has seen.
     @raise Invalid_argument otherwise. *)
@@ -171,20 +215,24 @@ val walker_rotor_offset : t -> int -> Graph.vertex -> int
 (** Competing rotor engines: walker [w]'s private rotor offset at [v]. *)
 
 val proc_name : proc -> string
-(** The legacy process name ("e-process(uar)", "srw", ...). *)
+(** The process name ("e-process(uar)", "lazy-srw", "rotor-router", ...). *)
 
 val name : t -> string
 (** The engine's run name: exactly {!proc_name} for a 1-walker
-    cooperating engine (so W=1 traces carry legacy [Run_start] names),
-    ["kernel-<proc>[w=W,<mode>]"] otherwise. *)
+    cooperating engine (the names single-walker traces have always
+    carried), ["kernel-<proc>[w=W,<mode>]"] otherwise. *)
 
-val process : t -> Ewalk.Cover.process
+val process : t -> Cover.process
 (** Cooperating mode: the generic process adapter (position = cursor
     walker, one [step ()] = one walker step), ready for
-    {!Ewalk.Cover.run_until_vertex_cover} and {!Ewalk.Observe.instrument}.
+    {!Cover.run_until_vertex_cover} and {!Observe.instrument}.
     @raise Invalid_argument in competing mode. *)
 
-(** {1 Checkpointing (cooperating mode)} *)
+(** {1 Checkpointing (cooperating mode)}
+
+    Every engine but an {!E_adversarial} one checkpoints; the
+    adversarial rule's closure is not plain data, and checkpointing it
+    raises [Invalid_argument]. *)
 
 type checkpoint = {
   ck_proc : proc;
@@ -195,7 +243,7 @@ type checkpoint = {
   ck_wblue : int array;
   ck_wred : int array;
   ck_prng : int64 array;  (** the lanes' {!Ewalk_prng.Rng.save} words, walker-major *)
-  ck_coverage : Ewalk.Coverage.state;
+  ck_coverage : Coverage.state;
   ck_rotor : int array option;  (** Rotor only *)
   ck_phase : (phase_kind * int * Graph.vertex) option array;
 }
@@ -223,9 +271,9 @@ type competing_checkpoint = {
   cc_wblue : int array;
   cc_wred : int array;
   cc_prng : int64 array;  (** the lanes' {!Ewalk_prng.Rng.save} words, walker-major *)
-  cc_visited : Ewalk.Bitset.t array;
-      (** per-walker traversed edges, m bits ({!Ewalk.Arc_marks.edge_set}) *)
-  cc_vseen : Ewalk.Bitset.t array;  (** per-walker vertex bitsets, n bits *)
+  cc_visited : Bitset.t array;
+      (** per-walker traversed edges, m bits ({!Arc_marks.edge_set}) *)
+  cc_vseen : Bitset.t array;  (** per-walker vertex bitsets, n bits *)
   cc_vcount : int array;
       (** serialized for inspectability only — restore recomputes *)
   cc_ecount : int array;  (** likewise *)

@@ -87,12 +87,6 @@ let recorder t =
     update ev;
     if forward then Trace.emit t.sh.sink_ ev
 
-let register_drain t f = t.drains <- f :: t.drains
-let event_recorder = recorder
-
-let phase_event_tracker t =
-  match t.sh.metrics_ with Some m -> Some (phase_tracker m) | None -> None
-
 (* Publish the delta of a monotone native counter into a sharded one. *)
 let delta_drain shard read =
   let last = ref (read ()) in
@@ -104,25 +98,70 @@ let delta_drain shard read =
     Shard.add shard (now - !last);
     last := now
 
-let attach_eprocess t p =
-  if not (is_noop t) then
-    if is_fast t then begin
-      let m = Option.get t.sh.metrics_ in
-      let blue_c = Shard.counter m "blue_steps" in
-      let red_c = Shard.counter m "red_steps" in
-      t.drains <-
-        delta_drain blue_c (fun () -> Eprocess.blue_steps p)
-        :: delta_drain red_c (fun () -> Eprocess.red_steps p)
-        :: t.drains;
-      Eprocess.set_phase_observer p (Some (phase_tracker m))
-    end
-    else Eprocess.set_observer p (Some (recorder t))
+(* Cap on per-walker labelled series: beyond this many walkers only the
+   aggregate counters are published (a 1000-walker engine should not mint
+   4000 registry names). *)
+let per_walker_cap = 32
 
-let attach_srw t p =
-  if not (is_noop t) then Srw.set_observer p (Some (recorder t))
+let attach t e =
+  if not (is_noop t) then begin
+    let w = Engine.walkers e in
+    let metrics = t.sh.metrics_ in
+    (match metrics with
+    | Some m when w > 1 ->
+        Metrics.set (Metrics.gauge m "kernel_walkers") (float_of_int w)
+    | _ -> ());
+    let walker_counters =
+      match metrics with
+      | Some m when w > 1 && w <= per_walker_cap ->
+          Some
+            (Array.init w (fun i ->
+                 let series name =
+                   Shard.counter m
+                     (Metrics.with_label name ~key:"walker"
+                        ~value:(string_of_int i))
+                 in
+                 (series "blue_steps", series "red_steps", series "steps")))
+      | _ -> None
+    in
+    match metrics with
+    | Some m when is_fast t ->
+        (* Fast path: no per-step events — counters drain in batches from
+           the engine's native counters, phases ride the boundary
+           observer. *)
+        let drain shard read = t.drains <- delta_drain shard read :: t.drains in
+        drain (Shard.counter m "blue_steps") (fun () -> Engine.blue_steps e);
+        drain (Shard.counter m "red_steps") (fun () -> Engine.red_steps e);
+        (* The per-walker steps series attributes the throughput time
+           series to individual walkers: the aggregate sampler is fed once
+           by the bundle's own steps drain (see [instrument]), this
+           labelled breakdown rides the same drain cadence. *)
+        Option.iter
+          (Array.iteri (fun i (bc, rc, sc) ->
+               drain bc (fun () -> Engine.walker_blue_steps e i);
+               drain rc (fun () -> Engine.walker_red_steps e i);
+               drain sc (fun () -> Engine.walker_steps e i)))
+          walker_counters;
+        let tracker = phase_tracker m in
+        Engine.set_phase_observer e (Some (fun ~walker:_ ev -> tracker ev))
+    | _ ->
+        (* Live sink: the bundle's own event interpreter gets the per-step
+           stream, with per-walker counters folded in on the side when
+           enabled. *)
+        let record = recorder t in
+        Engine.set_observer e
+          (Some
+             (fun ~walker ev ->
+               (match (walker_counters, ev) with
+               | Some arr, Trace.Step { blue; _ } ->
+                   let bc, rc, sc = arr.(walker) in
+                   Shard.incr (if blue then bc else rc);
+                   Shard.incr sc
+               | _ -> ());
+               record ev))
+  end
 
-let attach_rotor t p =
-  if not (is_noop t) then Rotor.set_observer p (Some (recorder t))
+let attach_eprocess = attach
 
 (* Ceiling of [pct]% of [total]. *)
 let target ~total pct = ((pct * total) + 99) / 100

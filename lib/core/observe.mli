@@ -10,21 +10,21 @@
       maintains the process-agnostic metrics ([steps],
       [coverage_vertex_fraction], [coverage_edge_fraction],
       [frontier_unvisited_vertices], [frontier_unvisited_edges]).
-    - {!attach_eprocess} / {!attach_srw} install the native per-step
-      hooks of the processes that have them, adding [Step] and [Phase]
-      trace events and the E-process-specific metrics ([blue_steps],
-      [red_steps], [phases_blue], [phases_red], and the [phase_length]
-      histogram).
+    - {!attach} installs the native hooks of a walk {!Engine} (every
+      E-process, SRW, lazy-SRW and rotor walk, at any walker count),
+      adding [Step] and [Phase] trace events and the step metrics
+      ([blue_steps], [red_steps], [phases_blue], [phases_red], and the
+      [phase_length] histogram).
 
     {b Cost model.}  The no-op bundle (no metrics, null sink) is free on
     the hot path: the native attach is skipped outright and
     {!instrument} adds only an integer comparison per step.  The
     {e metrics fast path} (metrics present, null sink) is nearly as
     cheap: no per-step event is allocated and no observer closure
-    installed — step counters drain in batches from the processes'
-    native fields (every 4096 steps and at {!finish}) into
+    installed — step counters drain in batches from the engine's
+    native counters (every 4096 steps and at {!finish}) into
     {!Ewalk_obs.Shard} per-domain cells, and phase accounting rides the
-    phase-boundary observer ({!Eprocess.set_phase_observer}), which
+    phase-boundary observer ({!Engine.set_phase_observer}), which
     fires once per maximal blue/red run, not per step.  Only a live sink
     pays for per-step events.  The bench harness guards both the
     null-sink and the metrics-enabled overhead at under 5% on the
@@ -63,37 +63,20 @@ val is_fast : t -> bool
     null sink — batch-drained native counters instead of per-step
     events. *)
 
-val register_drain : t -> (unit -> unit) -> unit
-(** Add a fast-path drain to this view: called every drain interval and
-    once at {!finish}.  External process kernels (see
-    [Ewalk_kernel.Kobs]) use this to publish their native counters
-    through the same batching the built-in processes use. *)
-
-val event_recorder : t -> Trace.event -> unit
-(** The bundle's event interpreter: folds [Step]/[Phase] events into the
-    sharded counters and forwards to the sink when live.  This is the
-    closure {!attach_eprocess} installs as the native observer — exposed
-    so external kernels can attach the identical slow path (and produce
-    byte-identical streams). *)
-
-val phase_event_tracker : t -> (Trace.event -> unit) option
-(** A fresh phase-boundary tracker over this bundle's metrics
-    ([phases_blue]/[phases_red]/[phase_length]), or [None] without
-    metrics.  The fast-path companion of {!event_recorder}. *)
+val attach : t -> Engine.t -> unit
+(** Install a walk engine's observation (no-op on a no-op bundle).  On
+    the metrics fast path (metrics, null sink) it registers batch drains
+    over the engine's native step counters — aggregate [blue_steps]/
+    [red_steps], plus name-encoded per-walker series
+    ([blue_steps_walker_i], see {!Ewalk_obs.Metrics.with_label}) when
+    [1 < W <= 32] — and installs only the phase-boundary observer;
+    nothing is allocated per step.  With a live sink it installs the
+    bundle's event interpreter as the engine's per-step observer, folding
+    the per-walker counters in on the side.  Engines with more than one
+    walker also publish a [kernel_walkers] gauge. *)
 
 val attach_eprocess : t -> Eprocess.t -> unit
-(** Install E-process observation (no-op on a no-op bundle).  With a
-    live sink: the native per-step observer, forwarding [Step]/[Phase]
-    events and updating the sharded counters.  With a null sink (the
-    fast path): only the phase-boundary observer plus native-counter
-    drains — nothing allocated per step. *)
-
-val attach_srw : t -> Srw.t -> unit
-
-val attach_rotor : t -> Rotor.t -> unit
-(** Install the rotor-router's native per-step observer: [Step] events
-    with [blue = false] (and the [red_steps] counter).  Gives rotor
-    traces the same per-step stream the verifier checks. *)
+(** {!attach}, under the name the end-to-end benchmark calls. *)
 
 val instrument : ?resumed_at:int -> t -> Cover.process -> Cover.process
 (** Generic wrapper: emits [Run_start] immediately when the sink is live
@@ -113,7 +96,7 @@ val instrument : ?resumed_at:int -> t -> Cover.process -> Cover.process
 val flush : t -> unit
 (** Run the view's pending drains and flush the shards without touching
     process-specific state — the end-of-run publish for runs that have no
-    {!Cover.process} adapter (a competing-mode kernel engine). *)
+    {!Cover.process} adapter (a competing-mode engine). *)
 
 val finish : t -> Cover.process -> unit
 (** Run the view's pending drains, flush the shards, push the final

@@ -294,10 +294,10 @@ let team_speedup_rows ~pool ~scale ~seed ~ks =
           Sweep.map_trials ?pool
             (fun rng ->
               let g = Exp_util.regular_graph rng ~n ~d:4 in
-              let t = Ewalk_kernel.Team.create_spread g rng ~walkers:k in
-              Ewalk.Cover.run_until_vertex_cover
-                ~cap:(Ewalk.Cover.default_cap g)
-                (Ewalk_kernel.Team.process t))
+              let t =
+                Ewalk.Engine.create_spread Ewalk.Engine.E_uar g rng ~walkers:k
+              in
+              Ewalk.Engine.run_to_vertex_cover t)
             rngs
         in
         let rounds_acc = Stats.Online.create () in
@@ -346,7 +346,7 @@ let team_speedup_at ~pool ~scale ~seed ~walkers =
   team_speedup_rows ~pool ~scale ~seed ~ks
 
 let kernel_modes_rows ~pool ~scale ~seed ~ks =
-  let module Engine = Ewalk_kernel.Engine in
+  let module Engine = Ewalk.Engine in
   let n =
     match scale with
     | Sweep.Tiny -> 512

@@ -32,7 +32,7 @@ val euler_overhead :
 val team_speedup :
   pool:Ewalk_par.Pool.t option -> scale:Sweep.scale -> seed:int -> Table.t
 (** Extension beyond the paper: [k] E-process walkers with shared edge
-    marks (the kernel-backed [Ewalk_kernel.Team]).  Total work to cover
+    marks (a cooperating {!Ewalk.Engine}).  Total work to cover
     stays ~2n for every [k]; the wall-clock (rounds) improves
     near-linearly in [k]. *)
 

@@ -185,7 +185,8 @@ let ell_good ~pool:_ ~scale ~seed =
 
 (* Run an E-process and report on Observation 10/11 invariants. *)
 let invariant_row name g rng even_expected =
-  let t = Eprocess.create ~record_phases:true g rng ~start:0 in
+  let t = Eprocess.create g rng ~start:0 in
+  let phase_log = Eprocess.phase_log t in
   let p = Eprocess.process t in
   let even_checks = ref 0 and even_failures = ref 0 in
   let cap = Ewalk.Cover.default_cap g in
@@ -205,7 +206,7 @@ let invariant_row name g rng even_expected =
       end
     end
   done;
-  let phases = Eprocess.phase_log t in
+  let phases = phase_log () in
   let blue_phases =
     List.filter (fun ph -> ph.Eprocess.kind = Eprocess.Blue) phases
   in

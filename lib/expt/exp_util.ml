@@ -28,22 +28,22 @@ let run_observed ?obs ~edges ~cap p =
 
 let vertex_cover_eprocess ?rule ?cap ?obs rng g =
   let t = Eprocess.create ?rule g rng ~start:0 in
-  Option.iter (fun o -> Observe.attach_eprocess o t) obs;
+  Option.iter (fun o -> Observe.attach o t) obs;
   run_observed ?obs ~edges:false ~cap:(with_cap cap g) (Eprocess.process t)
 
 let edge_cover_eprocess ?rule ?cap ?obs rng g =
   let t = Eprocess.create ?rule g rng ~start:0 in
-  Option.iter (fun o -> Observe.attach_eprocess o t) obs;
+  Option.iter (fun o -> Observe.attach o t) obs;
   run_observed ?obs ~edges:true ~cap:(with_cap cap g) (Eprocess.process t)
 
 let vertex_cover_srw ?cap ?obs rng g =
   let t = Srw.create g rng ~start:0 in
-  Option.iter (fun o -> Observe.attach_srw o t) obs;
+  Option.iter (fun o -> Observe.attach o t) obs;
   run_observed ?obs ~edges:false ~cap:(with_cap cap g) (Srw.process t)
 
 let edge_cover_srw ?cap ?obs rng g =
   let t = Srw.create g rng ~start:0 in
-  Option.iter (fun o -> Observe.attach_srw o t) obs;
+  Option.iter (fun o -> Observe.attach o t) obs;
   run_observed ?obs ~edges:true ~cap:(with_cap cap g) (Srw.process t)
 
 let adversary_stay_explored t candidates =

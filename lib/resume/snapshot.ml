@@ -1,6 +1,6 @@
 open Ewalk_graph
 module Json = Ewalk_obs.Json
-module Kengine = Ewalk_kernel.Engine
+module Engine = Ewalk.Engine
 
 let schema = "ewalk-snapshot/2"
 let schema_v1 = "ewalk-snapshot/1"
@@ -9,25 +9,25 @@ type walk =
   | Eprocess of Ewalk.Eprocess.t
   | Srw of Ewalk.Srw.t
   | Rotor of Ewalk.Rotor.t
-  | Kernel of Kengine.t
+  | Kernel of Engine.t
 
-let kind_name = function
-  | Eprocess p -> (Ewalk.Eprocess.process p).Ewalk.Cover.name
-  | Srw w -> (Ewalk.Srw.process w).Ewalk.Cover.name
-  | Rotor r -> (Ewalk.Rotor.process r).Ewalk.Cover.name
-  | Kernel k -> Kengine.name k
+let engine (Eprocess e | Srw e | Rotor e | Kernel e) = e
 
-let walk_steps = function
-  | Eprocess p -> Ewalk.Eprocess.steps p
-  | Srw w -> Ewalk.Srw.steps w
-  | Rotor r -> Ewalk.Rotor.steps r
-  | Kernel k -> Kengine.steps k
+(* A one-walker cooperating engine comes back under its view's
+   constructor; every other engine as [Kernel]. *)
+let of_engine e =
+  if Engine.walkers e > 1 || Engine.mode e = Engine.Competing then Kernel e
+  else
+    match Engine.proc e with
+    | Engine.E_uar | Engine.E_lowest | Engine.E_highest | Engine.E_adversarial _
+      ->
+        Eprocess e
+    | Engine.Srw | Engine.Lazy_srw -> Srw e
+    | Engine.Rotor -> Rotor e
 
-let walk_position = function
-  | Eprocess p -> Ewalk.Eprocess.position p
-  | Srw w -> Ewalk.Srw.position w
-  | Rotor r -> Ewalk.Rotor.position r
-  | Kernel k -> Kengine.position k
+let kind_name w = Engine.name (engine w)
+let walk_steps w = Engine.steps (engine w)
+let walk_position w = Engine.position (engine w)
 
 type error = Io of string | Corrupt of string | Mismatch of string
 
@@ -61,185 +61,101 @@ let coverage_json (s : Ewalk.Coverage.state) =
       ("edge_cover_step", Json.Int s.s_edge_cover_step);
     ]
 
-let phase_kind_name = function
-  | Ewalk.Eprocess.Blue -> "blue"
-  | Ewalk.Eprocess.Red -> "red"
+(* The wire names of the engine's processes.  An adversarial rule never
+   reaches here: checkpointing it raises first. *)
+let proc_names =
+  [
+    ("e-uar", Engine.E_uar);
+    ("e-lowest", Engine.E_lowest);
+    ("e-highest", Engine.E_highest);
+    ("srw", Engine.Srw);
+    ("lazy-srw", Engine.Lazy_srw);
+    ("rotor", Engine.Rotor);
+  ]
 
-let phase_json (p : Ewalk.Eprocess.phase) =
-  Json.Obj
-    [
-      ("kind", Json.String (phase_kind_name p.kind));
-      ("start_step", Json.Int p.start_step);
-      ("start_vertex", Json.Int p.start_vertex);
-      ("end_step", Json.Int p.end_step);
-      ("end_vertex", Json.Int p.end_vertex);
-    ]
+let proc_wire_name = function
+  | Engine.E_uar -> "e-uar"
+  | Engine.E_lowest -> "e-lowest"
+  | Engine.E_highest -> "e-highest"
+  | Engine.Srw -> "srw"
+  | Engine.Lazy_srw -> "lazy-srw"
+  | Engine.Rotor -> "rotor"
+  | Engine.E_adversarial _ -> assert false
 
-let graph_fields g =
-  [ ("n", Json.Int (Graph.n g)); ("m", Json.Int (Graph.m g)) ]
+(* Each walker's open phase: its kind, start step and start vertex. *)
+let phase_cell = function
+  | None -> Json.Null
+  | Some (kind, start_step, start_vertex) ->
+      Json.Obj
+        [
+          ( "kind",
+            Json.String (match kind with Engine.Blue -> "blue" | Engine.Red -> "red") );
+          ("start_step", Json.Int start_step);
+          ("start_vertex", Json.Int start_vertex);
+        ]
 
-let payload_of_walk walk =
-  match walk with
-  | Eprocess p ->
-      let ck = Ewalk.Eprocess.checkpoint p in
-      Json.Obj
-        ([ ("kind", Json.String "eprocess") ]
-        @ graph_fields (Ewalk.Eprocess.graph p)
-        @ [
-            ( "rule",
-              Json.String
-                (match ck.ck_rule with
-                | `Uar -> "uar"
-                | `Lowest_slot -> "lowest-slot"
-                | `Highest_slot -> "highest-slot") );
-            ("pos", Json.Int ck.ck_pos);
-            ("steps", Json.Int ck.ck_steps);
-            ("blue_steps", Json.Int ck.ck_blue_steps);
-            ("red_steps", Json.Int ck.ck_red_steps);
-            ("rng", rng_words ck.ck_rng);
-            ("coverage", coverage_json ck.ck_coverage);
-            ("record_phases", Json.Bool ck.ck_record_phases);
-            ( "current_phase",
-              match ck.ck_current_phase with
-              | None -> Json.Null
-              | Some (kind, start_step, start_vertex) ->
-                  Json.Obj
-                    [
-                      ("kind", Json.String (phase_kind_name kind));
-                      ("start_step", Json.Int start_step);
-                      ("start_vertex", Json.Int start_vertex);
-                    ] );
-            ("phases", Json.List (List.map phase_json ck.ck_phases));
-          ])
-  | Srw w ->
-      let ck = Ewalk.Srw.checkpoint w in
-      Json.Obj
-        ([
-           ( "kind",
-             Json.String
-               (match ck.ck_kind with `Simple -> "srw" | `Lazy -> "lazy-srw")
-           );
-         ]
-        @ graph_fields (Ewalk.Srw.graph w)
-        @ [
-            ("pos", Json.Int ck.ck_pos);
-            ("steps", Json.Int ck.ck_steps);
-            ("rng", rng_words ck.ck_rng);
-            ("coverage", coverage_json ck.ck_coverage);
-          ])
-  | Rotor r ->
-      let ck = Ewalk.Rotor.checkpoint r in
-      Json.Obj
-        ([ ("kind", Json.String "rotor") ]
-        @ graph_fields (Ewalk.Rotor.graph r)
-        @ [
-            ("pos", Json.Int ck.ck_pos);
-            ("steps", Json.Int ck.ck_steps);
-            ("rotor", int_array ck.ck_rotor);
-            ("coverage", coverage_json ck.ck_coverage);
-          ])
-  | Kernel k when Kengine.mode k = Kengine.Competing ->
+(* The fields both payload kinds share, in wire order: the graph size,
+   the process and the per-walker state, then (after the mode's own
+   fields) the phase cells. *)
+let walker_fields g ~proc ~pos ~cursor ~steps ~wsteps ~wblue ~wred ~prng =
+  [
+    ("n", Json.Int (Graph.n g));
+    ("m", Json.Int (Graph.m g));
+    ("proc", Json.String (proc_wire_name proc));
+    ("walkers", Json.Int (Array.length pos));
+    ("pos", int_array pos);
+    ("cursor", Json.Int cursor);
+    ("steps", Json.Int steps);
+    ("wsteps", int_array wsteps);
+    ("wblue", int_array wblue);
+    ("wred", int_array wred);
+    ("prng", rng_words prng);
+  ]
+
+let phase_field phase =
+  ("phase", Json.List (Array.to_list (Array.map phase_cell phase)))
+
+let rotor_json = function None -> Json.Null | Some r -> int_array r
+
+let payload_of_engine e =
+  let g = Engine.graph e in
+  match Engine.mode e with
+  | Engine.Competing ->
       (* Competing engines carry per-walker bit-packed visited sets; the
          bitsets travel as hex strings and the derived visit counters ride
          along for inspectability ([describe] cross-checks them). *)
-      let ck = Kengine.checkpoint_competing k in
-      let kernel_phase_kind = function
-        | Kengine.Blue -> "blue"
-        | Kengine.Red -> "red"
-      in
-      let phase_cell = function
-        | None -> Json.Null
-        | Some (kind, start_step, start_vertex) ->
-            Json.Obj
-              [
-                ("kind", Json.String (kernel_phase_kind kind));
-                ("start_step", Json.Int start_step);
-                ("start_vertex", Json.Int start_vertex);
-              ]
-      in
+      let ck = Engine.checkpoint_competing e in
       let bitsets a =
         Json.List
           (Array.to_list
              (Array.map (fun b -> Json.String (Ewalk.Bitset.to_hex b)) a))
       in
       Json.Obj
-        ([ ("kind", Json.String "kernel-competing") ]
-        @ graph_fields (Kengine.graph k)
+        ((("kind", Json.String "kernel-competing")
+         :: walker_fields g ~proc:ck.cc_proc ~pos:ck.cc_pos ~cursor:ck.cc_cursor
+              ~steps:(Array.fold_left ( + ) 0 ck.cc_wsteps)
+              ~wsteps:ck.cc_wsteps ~wblue:ck.cc_wblue ~wred:ck.cc_wred
+              ~prng:ck.cc_prng)
         @ [
-            ( "proc",
-              Json.String
-                (match ck.Kengine.cc_proc with
-                | Kengine.E_uar -> "e-uar"
-                | Kengine.E_lowest -> "e-lowest"
-                | Kengine.E_highest -> "e-highest"
-                | Kengine.Srw -> "srw"
-                | Kengine.Rotor -> "rotor") );
-            ("walkers", Json.Int (Array.length ck.Kengine.cc_pos));
-            ("pos", int_array ck.Kengine.cc_pos);
-            ("cursor", Json.Int ck.Kengine.cc_cursor);
-            ( "steps",
-              Json.Int (Array.fold_left ( + ) 0 ck.Kengine.cc_wsteps) );
-            ("wsteps", int_array ck.Kengine.cc_wsteps);
-            ("wblue", int_array ck.Kengine.cc_wblue);
-            ("wred", int_array ck.Kengine.cc_wred);
-            ("prng", rng_words ck.Kengine.cc_prng);
-            ("visited", bitsets ck.Kengine.cc_visited);
-            ("vseen", bitsets ck.Kengine.cc_vseen);
-            ("vcount", int_array ck.Kengine.cc_vcount);
-            ("ecount", int_array ck.Kengine.cc_ecount);
-            ("cover_at", int_array ck.Kengine.cc_cover_at);
-            ( "rotor",
-              match ck.Kengine.cc_rotor with
-              | None -> Json.Null
-              | Some r -> int_array r );
-            ( "phase",
-              Json.List
-                (Array.to_list (Array.map phase_cell ck.Kengine.cc_phase)) );
+            ("visited", bitsets ck.cc_visited);
+            ("vseen", bitsets ck.cc_vseen);
+            ("vcount", int_array ck.cc_vcount);
+            ("ecount", int_array ck.cc_ecount);
+            ("cover_at", int_array ck.cc_cover_at);
+            ("rotor", rotor_json ck.cc_rotor);
+            phase_field ck.cc_phase;
           ])
-  | Kernel k ->
-      let ck = Kengine.checkpoint k in
-      let kernel_phase_kind = function
-        | Kengine.Blue -> "blue"
-        | Kengine.Red -> "red"
-      in
-      let phase_cell = function
-        | None -> Json.Null
-        | Some (kind, start_step, start_vertex) ->
-            Json.Obj
-              [
-                ("kind", Json.String (kernel_phase_kind kind));
-                ("start_step", Json.Int start_step);
-                ("start_vertex", Json.Int start_vertex);
-              ]
-      in
+  | Engine.Cooperating ->
+      let ck = Engine.checkpoint e in
       Json.Obj
-        ([ ("kind", Json.String "kernel") ]
-        @ graph_fields (Kengine.graph k)
+        ((("kind", Json.String "kernel")
+         :: walker_fields g ~proc:ck.ck_proc ~pos:ck.ck_pos ~cursor:ck.ck_cursor
+              ~steps:ck.ck_steps ~wsteps:ck.ck_wsteps ~wblue:ck.ck_wblue
+              ~wred:ck.ck_wred ~prng:ck.ck_prng)
         @ [
-            ( "proc",
-              Json.String
-                (match ck.Kengine.ck_proc with
-                | Kengine.E_uar -> "e-uar"
-                | Kengine.E_lowest -> "e-lowest"
-                | Kengine.E_highest -> "e-highest"
-                | Kengine.Srw -> "srw"
-                | Kengine.Rotor -> "rotor") );
-            ("walkers", Json.Int (Array.length ck.Kengine.ck_pos));
-            ("pos", int_array ck.Kengine.ck_pos);
-            ("cursor", Json.Int ck.Kengine.ck_cursor);
-            ("steps", Json.Int ck.Kengine.ck_steps);
-            ("wsteps", int_array ck.Kengine.ck_wsteps);
-            ("wblue", int_array ck.Kengine.ck_wblue);
-            ("wred", int_array ck.Kengine.ck_wred);
-            ("prng", rng_words ck.Kengine.ck_prng);
-            ("coverage", coverage_json ck.Kengine.ck_coverage);
-            ( "rotor",
-              match ck.Kengine.ck_rotor with
-              | None -> Json.Null
-              | Some r -> int_array r );
-            ( "phase",
-              Json.List
-                (Array.to_list (Array.map phase_cell ck.Kengine.ck_phase)) );
+            ("coverage", coverage_json ck.ck_coverage);
+            ("rotor", rotor_json ck.ck_rotor);
+            phase_field ck.ck_phase;
           ])
 
 (* ------------------------------------------------------------------ *)
@@ -263,11 +179,6 @@ let get_string name j =
   match Json.to_string_opt (field name j) with
   | Some s -> s
   | None -> fail "field %S is not a string" name
-
-let get_bool name j =
-  match field name j with
-  | Json.Bool b -> b
-  | _ -> fail "field %S is not a boolean" name
 
 let get_int_array name j =
   match field name j with
@@ -308,35 +219,60 @@ let coverage_of_json j : Ewalk.Coverage.state =
     s_edge_cover_step = get_int "edge_cover_step" j;
   }
 
-(* Snapshots written while the E-process kept its visited edges in a swap
-   partition carry that partition as an [unvisited] section.  Their UAR
-   draws indexed the partition's private slot order, so continuing one
-   under adjacency-order marks would silently change its trajectory:
-   refuse it instead. *)
-let carries_partition j =
-  match Json.member "unvisited" j with None | Some Json.Null -> false | Some _ -> true
+(* Payloads a build can no longer resume, refused with a typed
+   [Mismatch] rather than continued under a different encoding:
 
-let partition_refusal =
-  "payload carries an \"unvisited\" section: it was written under the \
-   swap-partition coupling and cannot resume draw-for-draw"
+   - the single-walker kinds ([eprocess], [srw], [lazy-srw], [rotor]),
+     written before every walk became an engine — a walk now snapshots as
+     [kernel] or [kernel-competing];
+   - payloads that still carry an [unvisited] section, written while the
+     E-process kept its visited edges in a swap partition whose private
+     slot order the uniform rule's draws indexed. *)
+let refusal j =
+  match Json.to_string_opt (Option.value (Json.member "kind" j) ~default:Json.Null) with
+  | Some (("eprocess" | "srw" | "lazy-srw" | "rotor") as kind) ->
+      Some
+        (Printf.sprintf
+           "payload kind %S is a retired single-walker encoding: walks now \
+            snapshot as \"kernel\" or \"kernel-competing\"; regenerate it \
+            with this build"
+           kind)
+  | _ -> (
+      match Json.member "unvisited" j with
+      | None | Some Json.Null -> None
+      | Some _ ->
+          Some
+            "payload carries an \"unvisited\" section: it was written under \
+             the swap-partition coupling and cannot resume draw-for-draw")
 
-let refuse_partition j = if carries_partition j then raise (Bad partition_refusal)
+let proc_of_json j =
+  let name = get_string "proc" j in
+  match List.assoc_opt name proc_names with
+  | Some p -> p
+  | None -> fail "unknown kernel proc %S" name
 
-let phase_kind_of_string name = function
-  | "blue" -> Ewalk.Eprocess.Blue
-  | "red" -> Ewalk.Eprocess.Red
-  | other -> fail "field %S has unknown phase kind %S" name other
+let phase_of_json j =
+  match field "phase" j with
+  | Json.List l ->
+      Array.of_list
+        (List.map
+           (function
+             | Json.Null -> None
+             | p ->
+                 let kind =
+                   match get_string "kind" p with
+                   | "blue" -> Engine.Blue
+                   | "red" -> Engine.Red
+                   | other -> fail "field \"phase\" has unknown phase kind %S" other
+                 in
+                 Some (kind, get_int "start_step" p, get_int "start_vertex" p))
+           l)
+  | _ -> fail "field \"phase\" is not an array"
 
-let phase_of_json j : Ewalk.Eprocess.phase =
-  {
-    kind = phase_kind_of_string "phases" (get_string "kind" j);
-    start_step = get_int "start_step" j;
-    start_vertex = get_int "start_vertex" j;
-    end_step = get_int "end_step" j;
-    end_vertex = get_int "end_vertex" j;
-  }
+let rotor_of_json j =
+  match field "rotor" j with Json.Null -> None | _ -> Some (get_int_array "rotor" j)
 
-let walk_of_payload g j =
+let engine_of_payload g j =
   let n = get_int "n" j and m = get_int "m" j in
   if n <> Graph.n g || m <> Graph.m g then
     raise
@@ -345,96 +281,17 @@ let walk_of_payload g j =
             "recorded on a graph with n=%d m=%d, but the given graph has \
              n=%d m=%d"
             n m (Graph.n g) (Graph.m g)));
+  let pos = get_int_array "pos" j in
+  let phase = phase_of_json j in
+  if Array.length phase <> Array.length pos then
+    fail "field \"phase\" has %d entries for %d walkers" (Array.length phase)
+      (Array.length pos);
   match get_string "kind" j with
-  | "eprocess" ->
-      refuse_partition j;
-      let ck : Ewalk.Eprocess.checkpoint =
-        {
-          ck_rule =
-            (match get_string "rule" j with
-            | "uar" -> `Uar
-            | "lowest-slot" -> `Lowest_slot
-            | "highest-slot" -> `Highest_slot
-            | other -> fail "unknown e-process rule %S" other);
-          ck_pos = get_int "pos" j;
-          ck_steps = get_int "steps" j;
-          ck_blue_steps = get_int "blue_steps" j;
-          ck_red_steps = get_int "red_steps" j;
-          ck_rng = get_rng_words "rng" j;
-          ck_coverage = coverage_of_json (field "coverage" j);
-          ck_record_phases = get_bool "record_phases" j;
-          ck_current_phase =
-            (match field "current_phase" j with
-            | Json.Null -> None
-            | p ->
-                Some
-                  ( phase_kind_of_string "current_phase" (get_string "kind" p),
-                    get_int "start_step" p,
-                    get_int "start_vertex" p ));
-          ck_phases =
-            (match field "phases" j with
-            | Json.List l -> List.map phase_of_json l
-            | _ -> fail "field \"phases\" is not an array");
-        }
-      in
-      Eprocess (Ewalk.Eprocess.of_checkpoint g ck)
-  | ("srw" | "lazy-srw") as kind ->
-      let ck : Ewalk.Srw.checkpoint =
-        {
-          ck_kind = (if kind = "srw" then `Simple else `Lazy);
-          ck_pos = get_int "pos" j;
-          ck_steps = get_int "steps" j;
-          ck_rng = get_rng_words "rng" j;
-          ck_coverage = coverage_of_json (field "coverage" j);
-        }
-      in
-      Srw (Ewalk.Srw.of_checkpoint g ck)
-  | "rotor" ->
-      let ck : Ewalk.Rotor.checkpoint =
-        {
-          ck_pos = get_int "pos" j;
-          ck_steps = get_int "steps" j;
-          ck_rotor = get_int_array "rotor" j;
-          ck_coverage = coverage_of_json (field "coverage" j);
-        }
-      in
-      Rotor (Ewalk.Rotor.of_checkpoint g ck)
   | "kernel" ->
-      refuse_partition j;
-      let proc =
-        match get_string "proc" j with
-        | "e-uar" -> Kengine.E_uar
-        | "e-lowest" -> Kengine.E_lowest
-        | "e-highest" -> Kengine.E_highest
-        | "srw" -> Kengine.Srw
-        | "rotor" -> Kengine.Rotor
-        | other -> fail "unknown kernel proc %S" other
-      in
-      let kernel_phase_kind name = function
-        | "blue" -> Kengine.Blue
-        | "red" -> Kengine.Red
-        | other -> fail "field %S has unknown phase kind %S" name other
-      in
-      let phase =
-        match field "phase" j with
-        | Json.List l ->
-            Array.of_list
-              (List.map
-                 (fun p ->
-                   match p with
-                   | Json.Null -> None
-                   | p ->
-                       Some
-                         ( kernel_phase_kind "phase" (get_string "kind" p),
-                           get_int "start_step" p,
-                           get_int "start_vertex" p ))
-                 l)
-        | _ -> fail "field \"phase\" is not an array"
-      in
-      let ck : Kengine.checkpoint =
+      Engine.of_checkpoint g
         {
-          ck_proc = proc;
-          ck_pos = get_int_array "pos" j;
+          ck_proc = proc_of_json j;
+          ck_pos = pos;
           ck_cursor = get_int "cursor" j;
           ck_steps = get_int "steps" j;
           ck_wsteps = get_int_array "wsteps" j;
@@ -442,49 +299,10 @@ let walk_of_payload g j =
           ck_wred = get_int_array "wred" j;
           ck_prng = get_rng_words "prng" j;
           ck_coverage = coverage_of_json (field "coverage" j);
-          ck_rotor =
-            (match field "rotor" j with
-            | Json.Null -> None
-            | _ -> Some (get_int_array "rotor" j));
+          ck_rotor = rotor_of_json j;
           ck_phase = phase;
         }
-      in
-      let w = Array.length ck.Kengine.ck_pos in
-      if Array.length phase <> w then
-        fail "field \"phase\" has %d entries for %d walkers"
-          (Array.length phase) w;
-      Kernel (Kengine.of_checkpoint g ck)
   | "kernel-competing" ->
-      let proc =
-        match get_string "proc" j with
-        | "e-uar" -> Kengine.E_uar
-        | "e-lowest" -> Kengine.E_lowest
-        | "e-highest" -> Kengine.E_highest
-        | "srw" -> Kengine.Srw
-        | "rotor" -> Kengine.Rotor
-        | other -> fail "unknown kernel proc %S" other
-      in
-      let kernel_phase_kind name = function
-        | "blue" -> Kengine.Blue
-        | "red" -> Kengine.Red
-        | other -> fail "field %S has unknown phase kind %S" name other
-      in
-      let phase =
-        match field "phase" j with
-        | Json.List l ->
-            Array.of_list
-              (List.map
-                 (fun p ->
-                   match p with
-                   | Json.Null -> None
-                   | p ->
-                       Some
-                         ( kernel_phase_kind "phase" (get_string "kind" p),
-                           get_int "start_step" p,
-                           get_int "start_vertex" p ))
-                 l)
-        | _ -> fail "field \"phase\" is not an array"
-      in
       let bitsets name ~len =
         match field name j with
         | Json.List l ->
@@ -500,10 +318,10 @@ let walk_of_payload g j =
                  l)
         | _ -> fail "field %S is not an array" name
       in
-      let ck : Kengine.competing_checkpoint =
+      Engine.of_checkpoint_competing g
         {
-          cc_proc = proc;
-          cc_pos = get_int_array "pos" j;
+          cc_proc = proc_of_json j;
+          cc_pos = pos;
           cc_cursor = get_int "cursor" j;
           cc_wsteps = get_int_array "wsteps" j;
           cc_wblue = get_int_array "wblue" j;
@@ -514,21 +332,16 @@ let walk_of_payload g j =
           cc_vcount = get_int_array "vcount" j;
           cc_ecount = get_int_array "ecount" j;
           cc_cover_at = get_int_array "cover_at" j;
-          cc_rotor =
-            (match field "rotor" j with
-            | Json.Null -> None
-            | _ -> Some (get_int_array "rotor" j));
+          cc_rotor = rotor_of_json j;
           cc_phase = phase;
         }
-      in
-      Kernel (Kengine.of_checkpoint_competing g ck)
   | other -> fail "unknown walk kind %S" other
 
 (* ------------------------------------------------------------------ *)
 (* Files *)
 
 let write ~path walk =
-  let payload = Json.to_string (payload_of_walk walk) in
+  let payload = Json.to_string (payload_of_engine (engine walk)) in
   let crc = Crc32.to_hex (Crc32.string payload) in
   (* Run provenance lives in the header, next to the schema tag: the CRC
      covers the payload bytes only, so stamping the id does not disturb
@@ -638,9 +451,12 @@ let read_with_id g ~path =
   match read_payload ~path with
   | Error _ as e -> e
   | Ok (payload, run) -> (
-      try Ok (walk_of_payload g payload, run) with
-      | Bad msg -> Error (Mismatch msg)
-      | Invalid_argument msg -> Error (Mismatch msg))
+      match refusal payload with
+      | Some msg -> Error (Mismatch msg)
+      | None -> (
+          try Ok (of_engine (engine_of_payload g payload), run) with
+          | Bad msg -> Error (Mismatch msg)
+          | Invalid_argument msg -> Error (Mismatch msg)))
 
 let read g ~path = Result.map fst (read_with_id g ~path)
 
@@ -672,70 +488,55 @@ let hex_popcounts name j =
 let describe ~path =
   match read_payload ~path with
   | Error _ as e -> e
-  | Ok (payload, _) when carries_partition payload ->
-      Error (Mismatch partition_refusal)
   | Ok (payload, run) -> (
-      try
-        let kind = get_string "kind" payload in
-        let n = get_int "n" payload and m = get_int "m" payload in
-        let steps = get_int "steps" payload in
-        let where =
-          match kind with
-          | "kernel" | "kernel-competing" ->
-              Printf.sprintf "%d walkers (cursor %d)"
-                (get_int "walkers" payload)
-                (get_int "cursor" payload)
-          | _ -> Printf.sprintf "at vertex %d" (get_int "pos" payload)
-        in
-        let extra =
-          match kind with
-          | "eprocess" ->
-              Printf.sprintf " rule=%s blue=%d red=%d"
-                (get_string "rule" payload)
-                (get_int "blue_steps" payload)
-                (get_int "red_steps" payload)
-          | "kernel" | "kernel-competing" ->
-              Printf.sprintf " proc=%s" (get_string "proc" payload)
-          | _ -> ""
-        in
-        let run_suffix =
-          Printf.sprintf " [run %s%s]" run.Ewalk_obs.Runlog.run_id
-            (match run.Ewalk_obs.Runlog.parent_run_id with
-            | None -> ""
-            | Some p -> " parent " ^ p)
-        in
-        match kind with
-        | "kernel-competing" ->
-            (* No shared coverage table: report per-walker visit counters,
-               cross-checked against the bitset popcounts the way a resume
-               would — the crash matrix greps for the verdict. *)
-            let vcount = get_int_array "vcount" payload in
-            let ecount = get_int_array "ecount" payload in
-            let vpop = hex_popcounts "vseen" payload in
-            let epop = hex_popcounts "visited" payload in
-            if
-              Array.length vpop <> Array.length vcount
-              || Array.length epop <> Array.length ecount
-            then fail "bitset arrays do not match the counter arrays";
-            if vpop <> vcount || epop <> ecount then
-              fail
-                "stored visit counter disagrees with its bitset popcount \
-                 (counter!=popcount)";
-            let best = Array.fold_left max 0 vcount in
-            Ok
-              (Printf.sprintf
-                 "%s: %s walk on n=%d m=%d, %d steps, %s, best walker %d/%d \
-                  vertices, counters verified (counter==popcount)%s%s"
-                 schema kind n m steps where best n extra run_suffix)
-        | _ ->
-            let coverage = field "coverage" payload in
-            Ok
-              (Printf.sprintf
-                 "%s: %s walk on n=%d m=%d, %d steps, %s, %d/%d vertices \
-                  %d/%d edges visited%s%s"
-                 schema kind n m steps where
-                 (get_int "vertices_seen" coverage)
-                 n
-                 (get_int "edges_seen" coverage)
-                 m extra run_suffix)
-      with Bad msg -> Error (Corrupt msg))
+      match refusal payload with
+      | Some msg -> Error (Mismatch msg)
+      | None -> (
+          try
+            let kind = get_string "kind" payload in
+            let n = get_int "n" payload and m = get_int "m" payload in
+            let head =
+              Printf.sprintf "%s: %s walk on n=%d m=%d, %d steps, %d walkers (cursor %d)"
+                schema kind n m (get_int "steps" payload)
+                (get_int "walkers" payload) (get_int "cursor" payload)
+            in
+            let tail =
+              Printf.sprintf " proc=%s [run %s%s]" (get_string "proc" payload)
+                run.Ewalk_obs.Runlog.run_id
+                (match run.Ewalk_obs.Runlog.parent_run_id with
+                | None -> ""
+                | Some p -> " parent " ^ p)
+            in
+            match kind with
+            | "kernel-competing" ->
+                (* No shared coverage table: report per-walker visit
+                   counters, cross-checked against the bitset popcounts the
+                   way a resume would — the crash matrix greps for the
+                   verdict. *)
+                let vcount = get_int_array "vcount" payload in
+                let ecount = get_int_array "ecount" payload in
+                let vpop = hex_popcounts "vseen" payload in
+                let epop = hex_popcounts "visited" payload in
+                if
+                  Array.length vpop <> Array.length vcount
+                  || Array.length epop <> Array.length ecount
+                then fail "bitset arrays do not match the counter arrays";
+                if vpop <> vcount || epop <> ecount then
+                  fail
+                    "stored visit counter disagrees with its bitset popcount \
+                     (counter!=popcount)";
+                Ok
+                  (Printf.sprintf
+                     "%s, best walker %d/%d vertices, counters verified \
+                      (counter==popcount)%s"
+                     head (Array.fold_left max 0 vcount) n tail)
+            | "kernel" ->
+                let coverage = field "coverage" payload in
+                Ok
+                  (Printf.sprintf "%s, %d/%d vertices %d/%d edges visited%s" head
+                     (get_int "vertices_seen" coverage)
+                     n
+                     (get_int "edges_seen" coverage)
+                     m tail)
+            | other -> fail "unknown walk kind %S" other
+          with Bad msg -> Error (Corrupt msg)))

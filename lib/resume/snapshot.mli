@@ -10,10 +10,15 @@
     and final coverage as a run that was never interrupted — the property
     the qcheck round-trip suite enforces.
 
-    A payload that still carries an [unvisited] section was written while
-    the marks were a swap partition whose private slot order the uniform
-    rule's draws indexed; it is refused as {!Mismatch} rather than
-    continued under a different coupling.
+    Every walk is an {!Ewalk.Engine}, and its state has one encoding per
+    engine mode: payload kind ["kernel"] for a cooperating engine (one
+    walker or many) and ["kernel-competing"] for a competing one.  Two
+    kinds of payload are refused as {!Mismatch} rather than continued
+    under a different encoding: the retired single-walker kinds
+    (["eprocess"], ["srw"], ["lazy-srw"], ["rotor"]), and payloads that
+    still carry an [unvisited] section, written while the marks were a
+    swap partition whose private slot order the uniform rule's draws
+    indexed.
 
     {2 File format}
 
@@ -45,19 +50,27 @@ type walk =
   | Eprocess of Ewalk.Eprocess.t
   | Srw of Ewalk.Srw.t
   | Rotor of Ewalk.Rotor.t
-  | Kernel of Ewalk_kernel.Engine.t
-      (** The processes that can be snapshotted.  [Kernel] carries a
-          multi-walker engine in either mode: a cooperating engine
-          serializes under payload kind ["kernel"] (positions, per-walker
-          step/phase counters, shared coverage and the packed PRNG bank),
-          a competing engine under the v2-only kind
-          ["kernel-competing"] (per-walker bit-packed visited sets as hex
-          strings, plus the derived visit counters for inspectability —
-          restore recomputes them by popcount and rejects disagreement,
-          see [Ewalk_kernel.Engine.of_checkpoint_competing]).  Excluded:
-          adversarial E-process rules and weighted walks (both carry
-          state that is not plain data — see the core [checkpoint]
-          functions). *)
+  | Kernel of Ewalk.Engine.t
+      (** Every constructor carries an engine; {!write} encodes any of
+          them the same way.  A cooperating engine serializes under
+          payload kind ["kernel"] (positions, per-walker step/phase
+          counters, shared coverage and the lanes' PRNG words), a
+          competing engine under the v2-only kind ["kernel-competing"]
+          (per-walker bit-packed visited sets as hex strings, plus the
+          derived visit counters for inspectability — restore recomputes
+          them by popcount and rejects disagreement, see
+          {!Ewalk.Engine.of_checkpoint_competing}).  {!read} returns a
+          one-walker cooperating engine under its view's constructor —
+          [Eprocess] for the E-process rules, [Srw] for SRW and lazy SRW,
+          [Rotor] for the rotor-router — and every other engine as
+          [Kernel].  Excluded: adversarial E-process rules, whose closure
+          is not plain data. *)
+
+val engine : walk -> Ewalk.Engine.t
+(** The engine any constructor carries. *)
+
+val of_engine : Ewalk.Engine.t -> walk
+(** The constructor {!read} returns the engine under. *)
 
 val kind_name : walk -> string
 (** The process name, e.g. ["e-process(uar)"], ["lazy-srw"]. *)
@@ -69,17 +82,18 @@ type error =
   | Io of string  (** file unreadable / unwritable *)
   | Corrupt of string  (** torn, truncated, tampered or non-JSON file *)
   | Mismatch of string
-      (** valid file, wrong world: unknown schema, wrong graph, a
-          payload written under the swap-partition coupling, or one that
-          fails the state validators *)
+      (** valid file, wrong world: unknown schema, wrong graph, a retired
+          single-walker payload kind, a payload written under the
+          swap-partition coupling, or one that fails the state
+          validators *)
 
 val error_to_string : error -> string
 
 val write : path:string -> walk -> (unit, error) result
 (** Serialize the walk's full state to [path], atomically: the bytes are
     written to a temp file in the same directory and renamed over [path].
-    @raise Invalid_argument if the walk is not serializable (adversarial
-    rule / weighted walk). *)
+    @raise Invalid_argument if the walk is not serializable (an
+    adversarial rule). *)
 
 val read : Graph.t -> path:string -> (walk, error) result
 (** Load a snapshot recorded on exactly this graph.  The CRC is verified
@@ -98,5 +112,6 @@ val describe : path:string -> (string, error) result
     payloads the stored per-walker visit counters are cross-checked
     against the bitset popcounts; the summary carries the verdict
     marker [counter==popcount] on success and the file is reported
-    {!Corrupt} on disagreement.  A payload written under the
-    swap-partition coupling is reported {!Mismatch}, as {!read} would. *)
+    {!Corrupt} on disagreement.  A retired single-walker payload kind or
+    one written under the swap-partition coupling is reported
+    {!Mismatch}, as {!read} would. *)

@@ -42,18 +42,10 @@ let max_walkers = 4096
 let max_steps_per_request = 50_000_000
 let max_family_len = 64
 
-(* The processes a session can run: exactly the Snapshot-serializable
-   subset (hibernation needs Snapshot.write to succeed).  The kernel
-   engine ports everything but lazy-srw. *)
-let single_specs =
-  [ "e-process"; "e-process:lowest"; "e-process:highest"; "srw"; "lazy-srw"; "rotor" ]
-
-let kernel_specs =
-  [ "e-process"; "e-process:lowest"; "e-process:highest"; "srw"; "rotor" ]
-
-let snapshottable ~walkers ~mode spec =
-  if walkers > 1 || mode = Competing then List.mem spec kernel_specs
-  else List.mem spec single_specs
+(* The processes a session can run: the engine's process table, every
+   entry of which snapshots (hibernation needs Snapshot.write to
+   succeed), at any walker count and in either mode. *)
+let snapshottable spec = Ewalk.Engine.proc_of_spec spec <> None
 
 let config_to_json c =
   Json.Obj
@@ -137,13 +129,12 @@ let config_of_json ~max_n j =
         Error
           (err 400 "bad_walkers"
              (Printf.sprintf "walkers must be in [1,%d]" max_walkers))
-      else if not (snapshottable ~walkers ~mode process) then
+      else if not (snapshottable process) then
         Error
           (err 400 "unknown_process"
              (Printf.sprintf
-                "process %S is not servable with walkers=%d mode=%s \
-                 (sessions must be snapshottable)"
-                process walkers (mode_name mode)))
+                "process %S is not servable (sessions must be snapshottable)"
+                process))
       else Ok { family; n; process; seed; walkers; mode }
   | _ -> Error (err 400 "bad_json" "request body must be a JSON object")
 

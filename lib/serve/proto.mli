@@ -15,7 +15,7 @@ type config = {
   n : int;  (** vertex count *)
   process : string;  (** process spec, e.g. ["e-process:lowest"] *)
   seed : int;  (** PRNG seed: the graph and the walk derive from it *)
-  walkers : int;  (** lockstep walker count (1 = legacy loop) *)
+  walkers : int;  (** lockstep walker count *)
   mode : mode;
 }
 
@@ -30,12 +30,11 @@ val error_body : error -> string
 val internal : string -> error
 (** A 500 wrapping an unexpected exception message. *)
 
-val snapshottable : walkers:int -> mode:mode -> string -> bool
+val snapshottable : string -> bool
 (** Whether the process spec can be served: it must round-trip through
-    {!Ewalk_resume.Snapshot} (hibernation depends on it).  Single-walker
-    cooperating sessions accept the e-process rules, [srw], [lazy-srw]
-    and [rotor]; multi-walker or competing sessions accept the kernel
-    ports (everything but [lazy-srw]). *)
+    {!Ewalk_resume.Snapshot} (hibernation depends on it).  Exactly the
+    specs of {!Ewalk.Engine.proc_of_spec} — the e-process rules, [srw],
+    [lazy-srw] and [rotor] — at any walker count and in either mode. *)
 
 val max_walkers : int
 val max_steps_per_request : int

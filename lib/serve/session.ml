@@ -10,7 +10,7 @@ open Ewalk_graph
 module Obs = Ewalk_obs
 module Json = Obs.Json
 module Rng = Ewalk_prng.Rng
-module Kengine = Ewalk_kernel.Engine
+module Engine = Ewalk.Engine
 module Snapshot = Ewalk_resume.Snapshot
 
 type summary = {
@@ -25,7 +25,7 @@ type t = {
   sid : string;
   cfg : Proto.config;
   dir : string;
-  mutable walk : Snapshot.walk option;
+  mutable walk : Engine.t option;
   mutable hsum : summary;  (* last known state; authoritative when hibernated *)
   mutable lru : int;
 }
@@ -40,99 +40,52 @@ let meta_path t = Filename.concat t.dir "session.json"
 
 (* -- walk construction ----------------------------------------------------- *)
 
-let kernel_proc_of_spec = function
-  | "e-process" -> Some Kengine.E_uar
-  | "e-process:lowest" -> Some Kengine.E_lowest
-  | "e-process:highest" -> Some Kengine.E_highest
-  | "srw" -> Some Kengine.Srw
-  | "rotor" -> Some Kengine.Rotor
-  | _ -> None
-
-(* Mirrors eproc's make_snapshot_walk: start vertex 0, the rng already
-   advanced past the graph build.  Proto validated the spec, so the
-   final wildcard is unreachable for accepted configs. *)
+(* Mirrors eproc's walk construction: one walker starts at vertex 0,
+   several spread from the rng, which is already advanced past the graph
+   build.  Proto validated the spec, so the [None] branch is unreachable
+   for accepted configs. *)
 let build_walk (c : Proto.config) g rng =
-  if c.walkers > 1 || c.mode = Proto.Competing then
-    match kernel_proc_of_spec c.process with
-    | None -> Error (Proto.err 400 "unknown_process" c.process)
-    | Some kp ->
-        let mode =
-          match c.mode with
-          | Proto.Cooperating -> Kengine.Cooperating
-          | Proto.Competing -> Kengine.Competing
-        in
-        Ok
-          (Snapshot.Kernel
-             (Kengine.create_spread ~mode kp g rng ~walkers:c.walkers))
-  else
-    let start = 0 in
-    match c.process with
-    | "e-process" -> Ok (Snapshot.Eprocess (Ewalk.Eprocess.create g rng ~start))
-    | "e-process:lowest" ->
-        Ok
-          (Snapshot.Eprocess
-             (Ewalk.Eprocess.create ~rule:Ewalk.Eprocess.Lowest_slot g rng
-                ~start))
-    | "e-process:highest" ->
-        Ok
-          (Snapshot.Eprocess
-             (Ewalk.Eprocess.create ~rule:Ewalk.Eprocess.Highest_slot g rng
-                ~start))
-    | "srw" -> Ok (Snapshot.Srw (Ewalk.Srw.create g rng ~start))
-    | "lazy-srw" -> Ok (Snapshot.Srw (Ewalk.Srw.create_lazy g rng ~start))
-    | "rotor" ->
-        Ok
-          (Snapshot.Rotor
-             (Ewalk.Rotor.create ~randomize_rotors:true g rng ~start))
-    | other -> Error (Proto.err 400 "unknown_process" other)
+  match Engine.proc_of_spec c.process with
+  | None -> Error (Proto.err 400 "unknown_process" c.process)
+  | Some proc ->
+      Ok
+        (match (c.walkers, c.mode) with
+        | 1, Proto.Cooperating -> Engine.single proc g rng ~start:0
+        | walkers, Proto.Cooperating ->
+            Engine.create_spread proc g rng ~walkers
+        | walkers, Proto.Competing ->
+            Engine.create_spread ~mode:Engine.Competing proc g rng ~walkers)
 
-let walk_graph = function
-  | Snapshot.Eprocess p -> (Ewalk.Eprocess.process p).Ewalk.Cover.graph
-  | Snapshot.Srw w -> (Ewalk.Srw.process w).Ewalk.Cover.graph
-  | Snapshot.Rotor r -> (Ewalk.Rotor.process r).Ewalk.Cover.graph
-  | Snapshot.Kernel k -> Kengine.graph k
+let competing e = Engine.mode e = Engine.Competing
 
-let all_walkers_covered k =
-  let w = Kengine.walkers k in
-  let rec go i = i >= w || (Kengine.walker_cover_step k i <> None && go (i + 1)) in
+let all_walkers_covered e =
+  let w = Engine.walkers e in
+  let rec go i = i >= w || (Engine.walker_cover_step e i <> None && go (i + 1)) in
   go 0
 
-let walk_covered = function
-  | Snapshot.Eprocess p ->
-      Ewalk.Coverage.all_vertices_visited (Ewalk.Eprocess.coverage p)
-  | Snapshot.Srw w ->
-      Ewalk.Coverage.all_vertices_visited (Ewalk.Srw.coverage w)
-  | Snapshot.Rotor r ->
-      Ewalk.Coverage.all_vertices_visited (Ewalk.Rotor.coverage r)
-  | Snapshot.Kernel k ->
-      if Kengine.mode k = Kengine.Competing then all_walkers_covered k
-      else Ewalk.Coverage.all_vertices_visited (Kengine.coverage k)
+let walk_covered e =
+  if competing e then all_walkers_covered e
+  else Ewalk.Coverage.all_vertices_visited (Engine.coverage e)
 
-let summarize_walk w =
-  let coverage_counts cov =
-    (Ewalk.Coverage.vertices_visited cov, Ewalk.Coverage.edges_visited cov)
-  in
+let summarize_walk e =
   let s_vertices, s_edges =
-    match w with
-    | Snapshot.Eprocess p -> coverage_counts (Ewalk.Eprocess.coverage p)
-    | Snapshot.Srw s -> coverage_counts (Ewalk.Srw.coverage s)
-    | Snapshot.Rotor r -> coverage_counts (Ewalk.Rotor.coverage r)
-    | Snapshot.Kernel k ->
-        if Kengine.mode k = Kengine.Competing then begin
-          (* Per-walker visited sets: report the furthest walker. *)
-          let v = ref 0 and e = ref 0 in
-          for i = 0 to Kengine.walkers k - 1 do
-            v := max !v (Kengine.walker_vertices_visited k i);
-            e := max !e (Kengine.walker_edges_visited k i)
-          done;
-          (!v, !e)
-        end
-        else coverage_counts (Kengine.coverage k)
+    if competing e then begin
+      (* Per-walker visited sets: report the furthest walker. *)
+      let v = ref 0 and d = ref 0 in
+      for i = 0 to Engine.walkers e - 1 do
+        v := max !v (Engine.walker_vertices_visited e i);
+        d := max !d (Engine.walker_edges_visited e i)
+      done;
+      (!v, !d)
+    end
+    else
+      let cov = Engine.coverage e in
+      (Ewalk.Coverage.vertices_visited cov, Ewalk.Coverage.edges_visited cov)
   in
   {
-    s_steps = Snapshot.walk_steps w;
-    s_position = Snapshot.walk_position w;
-    s_covered = walk_covered w;
+    s_steps = Engine.steps e;
+    s_position = Engine.position e;
+    s_covered = walk_covered e;
     s_vertices;
     s_edges;
   }
@@ -219,9 +172,9 @@ let recover ~id ~dir cfg sum =
 let hibernate t =
   match t.walk with
   | None -> Ok ()
-  | Some w -> (
-      t.hsum <- summarize_walk w;
-      match Snapshot.write ~path:(snapshot_path t) w with
+  | Some e -> (
+      t.hsum <- summarize_walk e;
+      match Snapshot.write ~path:(snapshot_path t) (Snapshot.of_engine e) with
       | Error e ->
           Error (Proto.internal ("snapshot write: " ^ Snapshot.error_to_string e))
       | Ok () ->
@@ -248,7 +201,7 @@ let materialize t ~graph ~rng =
             Error
               (Proto.internal ("snapshot read: " ^ Snapshot.error_to_string e))
         | Ok w ->
-            t.walk <- Some w;
+            t.walk <- Some (Snapshot.engine w);
             Ok ())
       else (
         (* Recovered session that never hibernated: its walk never left
@@ -266,77 +219,36 @@ let with_walk t f =
 
 (* -- stepping -------------------------------------------------------------- *)
 
-let step_one = function
-  | Snapshot.Eprocess p -> Ewalk.Eprocess.step p
-  | Snapshot.Srw s -> Ewalk.Srw.step s
-  | Snapshot.Rotor r -> Ewalk.Rotor.step r
-  | Snapshot.Kernel k -> Kengine.step k
-
 let step ?pool t k =
-  with_walk t @@ fun w ->
-  (match w with
-  | Snapshot.Eprocess p -> Ewalk.Eprocess.run_steps p k
-  | Snapshot.Srw s -> Ewalk.Srw.run_steps s k
-  | Snapshot.Rotor r -> for _ = 1 to k do Ewalk.Rotor.step r done
-  | Snapshot.Kernel e ->
-      let wk = Kengine.walkers e in
-      if wk > 1 then begin
-        (* Whole rounds take the engine's batched path (sharded across
-           the pool in competing mode); the remainder steps stay on the
-           same round-robin order, so the state sequence is identical to
-           k single steps. *)
-        let rounds = k / wk in
-        if rounds > 0 then Kengine.run_rounds ?pool e rounds;
-        for _ = 1 to k - (rounds * wk) do Kengine.step e done
-      end
-      else for _ = 1 to k do Kengine.step e done);
-  Ok (Snapshot.walk_steps w)
+  with_walk t @@ fun e ->
+  (* Whole rounds take the engine's batched path (sharded across the pool
+     in competing mode); the remainder steps stay on the same round-robin
+     order, so the state sequence is identical to k single steps. *)
+  let wk = Engine.walkers e in
+  let rounds = k / wk in
+  if rounds > 0 then Engine.run_rounds ?pool e rounds;
+  for _ = 1 to k - (rounds * wk) do
+    Engine.step e
+  done;
+  Ok (Engine.steps e)
 
 let run_to_cover ?pool t ~cap =
-  with_walk t @@ fun w ->
-  let g = walk_graph w in
-  let cap = match cap with Some c -> c | None -> Ewalk.Cover.default_cap g in
-  (match w with
-  | Snapshot.Eprocess p -> ignore (Ewalk.Eprocess.run_to_vertex_cover ~cap p)
-  | Snapshot.Srw s -> ignore (Ewalk.Srw.run_to_vertex_cover ~cap s)
-  | Snapshot.Rotor r ->
-      let cov = Ewalk.Rotor.coverage r in
-      while
-        (not (Ewalk.Coverage.all_vertices_visited cov))
-        && Ewalk.Rotor.steps r < cap
-      do
-        Ewalk.Rotor.step r
-      done
-  | Snapshot.Kernel e ->
-      if Kengine.mode e = Kengine.Competing then
-        ignore (Kengine.run_until_first_cover ?pool ~cap e)
-      else
-        let cov = Kengine.coverage e in
-        while
-          (not (Ewalk.Coverage.all_vertices_visited cov))
-          && Kengine.steps e < cap
-        do
-          Kengine.step e
-        done);
-  Ok (Snapshot.walk_steps w)
+  with_walk t @@ fun e ->
+  let cap =
+    match cap with Some c -> c | None -> Ewalk.Cover.default_cap (Engine.graph e)
+  in
+  if competing e then ignore (Engine.run_until_first_cover ?pool ~cap e)
+  else ignore (Engine.run_to_vertex_cover ~cap e);
+  Ok (Engine.steps e)
 
 (* -- trace streaming ------------------------------------------------------- *)
 
-let set_observer w obs =
-  match w with
-  | Snapshot.Eprocess p -> Ewalk.Eprocess.set_observer p obs
-  | Snapshot.Srw s -> Ewalk.Srw.set_observer s obs
-  | Snapshot.Rotor r -> Ewalk.Rotor.set_observer r obs
-  | Snapshot.Kernel k ->
-      Kengine.set_observer k
-        (Option.map (fun f -> fun ~walker:_ ev -> f ev) obs)
-
 let stream t ~max_steps ~push =
-  with_walk t @@ fun w ->
-  let g = walk_graph w in
+  with_walk t @@ fun e ->
+  let g = Engine.graph e in
   let n = Graph.n g in
-  let steps0 = Snapshot.walk_steps w in
-  let start = Snapshot.walk_position w in
+  let steps0 = Engine.steps e in
+  let start = Engine.position e in
   (* Track exactly what a replay shadow of this stream sees, so the
      run_end covered flag can never contradict it: the start vertex plus
      every streamed step vertex. *)
@@ -350,7 +262,7 @@ let stream t ~max_steps ~push =
   in
   push
     (Obs.Trace.Run_start
-       { name = Snapshot.kind_name w; n; m = Graph.m g; start });
+       { name = Engine.name e; n; m = Graph.m g; start });
   (match Obs.Runlog.current () with
   | Some r ->
       push
@@ -362,25 +274,25 @@ let stream t ~max_steps ~push =
   | None -> ());
   if steps0 > 0 then push (Obs.Trace.Resume { step = steps0 });
   mark start;
-  set_observer w
+  Engine.set_observer e
     (Some
-       (fun ev ->
+       (fun ~walker:_ ev ->
          (match ev with Obs.Trace.Step { vertex; _ } -> mark vertex | _ -> ());
          push ev));
   let stepped = ref 0 in
   Fun.protect
-    ~finally:(fun () -> set_observer w None)
+    ~finally:(fun () -> Engine.set_observer e None)
     (fun () ->
-      while !stepped < max_steps && not (walk_covered w) do
-        step_one w;
+      while !stepped < max_steps && not (walk_covered e) do
+        Engine.step e;
         incr stepped
       done);
   let tail_covered = !seen_count = n in
   (* A fresh stream's flag must equal the shadow's union verdict; a
      resumed stream may also assert true coverage the tail alone cannot
      show (the verifier only refutes false-with-covered-tail). *)
-  let covered = tail_covered || (steps0 > 0 && walk_covered w) in
-  push (Obs.Trace.Run_end { steps = Snapshot.walk_steps w; covered });
+  let covered = tail_covered || (steps0 > 0 && walk_covered e) in
+  push (Obs.Trace.Run_end { steps = Engine.steps e; covered });
   Ok !stepped
 
 (* -- info / delete --------------------------------------------------------- *)

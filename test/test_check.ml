@@ -13,6 +13,7 @@ module Trace = Ewalk_obs.Trace
 module Eprocess = Ewalk.Eprocess
 module Srw = Ewalk.Srw
 module Rotor = Ewalk.Rotor
+module Engine = Ewalk.Engine
 module Cover = Ewalk.Cover
 module Observe = Ewalk.Observe
 module Invariant = Ewalk_check.Invariant
@@ -51,19 +52,19 @@ let collect_events g make =
 
 let make_eprocess ?rule g seed () =
   let t = Eprocess.create ?rule g (Rng.create ~seed ()) ~start:0 in
-  (Eprocess.process t, fun obs -> Observe.attach_eprocess obs t)
+  (Eprocess.process t, fun obs -> Observe.attach obs t)
 
 let make_srw g seed () =
   let t = Srw.create g (Rng.create ~seed ()) ~start:0 in
-  (Srw.process t, fun obs -> Observe.attach_srw obs t)
+  (Srw.process t, fun obs -> Observe.attach obs t)
 
 let make_lazy_srw g seed () =
   let t = Srw.create_lazy g (Rng.create ~seed ()) ~start:0 in
-  (Srw.process t, fun obs -> Observe.attach_srw obs t)
+  (Srw.process t, fun obs -> Observe.attach obs t)
 
 let make_rotor g seed () =
   let t = Rotor.create ~randomize_rotors:true g (Rng.create ~seed ()) ~start:0 in
-  (Rotor.process t, fun obs -> Observe.attach_rotor obs t)
+  (Rotor.process t, fun obs -> Observe.attach obs t)
 
 let kind_t =
   Alcotest.testable
@@ -158,6 +159,43 @@ let suite_jobs_equivalence () =
   Alcotest.(check (list (pair string string)))
     "failures" r1.Differential.failures r4.Differential.failures
 
+(* A case whose production step raises (here: the walk starts on an
+   isolated vertex) fails alone, named in the report; the valid case
+   beside it still runs and counts, in both batteries. *)
+let raising_case_isolated () =
+  let isolated = Graph.of_edges ~n:3 [ (1, 2) ] in
+  let bad =
+    { Differential.label = "isolated-start"; graph = isolated; seed = 1;
+      max_steps = 100; mode = Differential.Uar }
+  in
+  let good =
+    { Differential.label = "cycle8"; graph = Gen_classic.cycle 8; seed = 1;
+      max_steps = 10_000; mode = Differential.Srw_walk }
+  in
+  let r = Differential.run_suite ~jobs:2 [ bad; good ] in
+  Alcotest.(check int) "both cases ran" 2 r.Differential.cases;
+  Alcotest.(check (list string)) "the raising case is named"
+    [ Differential.case_name bad ]
+    (List.map fst r.Differential.failures);
+  Alcotest.(check bool) "the failure says it raised" true
+    (String.starts_with ~prefix:"raised"
+       (snd (List.hd r.Differential.failures)));
+  Alcotest.(check bool) "the valid case is counted" true (r.Differential.steps > 0);
+  let kcase label graph =
+    { Differential.k_label = label; k_graph = graph; k_seed = 1; k_walkers = 1;
+      k_mode = Engine.Cooperating; k_proc = Engine.E_uar; k_max_steps = 10_000 }
+  in
+  let kbad = kcase "isolated-start" isolated in
+  let kr =
+    Differential.run_kernel_suite ~jobs:2
+      [ kbad; kcase "cycle8" (Gen_classic.cycle 8) ]
+  in
+  Alcotest.(check (list string)) "the raising kernel case is named"
+    [ Differential.kernel_case_name kbad ]
+    (List.map fst kr.Differential.failures);
+  Alcotest.(check bool) "the valid kernel case is counted" true
+    (kr.Differential.steps > 0)
+
 (* -- invariant monitor: mutation smoke tests ------------------------------- *)
 
 (* Deliberately broken step streams on the 4-cycle (vertices 0-3). *)
@@ -213,9 +251,9 @@ let mutation_broken_rule_detected () =
   in
   let inv = Invariant.create ~rule:Invariant.Lowest_slot g ~start:0 in
   let first = ref None in
-  Eprocess.set_observer prod
+  Engine.set_observer prod
     (Some
-       (fun ev ->
+       (fun ~walker:_ ev ->
          match ev with
          | Trace.Step { step; vertex; edge; blue } -> (
              match Invariant.on_step inv ~step ~vertex ~edge ~blue with
@@ -234,9 +272,9 @@ let monitor_accepts_correct_walks () =
     (fun (label, g) ->
       let prod = Eprocess.create g (Rng.create ~seed:21 ()) ~start:0 in
       let inv = Invariant.create g ~start:0 in
-      Eprocess.set_observer prod
+      Engine.set_observer prod
         (Some
-           (fun ev ->
+           (fun ~walker:_ ev ->
              match ev with
              | Trace.Step { step; vertex; edge; blue } ->
                  ignore (Invariant.on_step inv ~step ~vertex ~edge ~blue)
@@ -470,6 +508,8 @@ let () =
           Alcotest.test_case "stock suite passes" `Quick stock_suite_passes;
           Alcotest.test_case "jobs=1 equals jobs=4" `Quick
             suite_jobs_equivalence;
+          Alcotest.test_case "a raising case fails alone" `Quick
+            raising_case_isolated;
           qcheck prop_differential_generated;
         ] );
       ( "mutation",

@@ -22,7 +22,7 @@ module Bitset = Ewalk.Bitset
 module Arc_marks = Ewalk.Arc_marks
 module Eprocess = Ewalk.Eprocess
 module Coverage = Ewalk.Coverage
-module Kengine = Ewalk_kernel.Engine
+module Kengine = Ewalk.Engine
 module Oracle = Ewalk_check.Oracle
 module Exp_util = Ewalk_expt.Exp_util
 
@@ -227,7 +227,9 @@ let oracle_proc = function
   | Kengine.E_lowest -> Oracle.Kernel.E_lowest
   | Kengine.E_highest -> Oracle.Kernel.E_highest
   | Kengine.Srw -> Oracle.Kernel.Srw_walk
+  | Kengine.Lazy_srw -> Oracle.Kernel.Lazy_srw_walk
   | Kengine.Rotor -> Oracle.Kernel.Rotor_walk
+  | Kengine.E_adversarial _ -> assert false
 
 (* One engine configuration against the naive oracle in RNG lockstep:
    after every walker step the moved walker must stand where the oracle's
@@ -250,7 +252,7 @@ let kernel_marks_case proc mode w () =
   let engine_visited wk e =
     match (mode, proc) with
     | Kengine.Competing, _ -> Kengine.walker_edge_visited eng wk e
-    | Kengine.Cooperating, (Kengine.Srw | Kengine.Rotor) ->
+    | Kengine.Cooperating, (Kengine.Srw | Kengine.Lazy_srw | Kengine.Rotor) ->
         Coverage.edge_visited (Kengine.coverage eng) e
     | Kengine.Cooperating, _ ->
         let seen = Coverage.edge_visited (Kengine.coverage eng) e in

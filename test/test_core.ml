@@ -81,7 +81,7 @@ let eprocess_validation () =
   let iso = Graph.of_edges ~n:2 [] in
   let t = Eprocess.create iso rng ~start:0 in
   Alcotest.check_raises "isolated vertex"
-    (Invalid_argument "Eprocess.step: isolated vertex") (fun () ->
+    (Invalid_argument "Engine.step: isolated vertex") (fun () ->
       Eprocess.step t)
 
 let eprocess_initial_state () =
@@ -208,14 +208,15 @@ let obs10_blue_phases_return =
         | _ -> Eprocess.Highest_slot
       in
       let rng = Rng.create ~seed:(seed + 1000) () in
-      let t = Eprocess.create ~rule ~record_phases:true g rng ~start:0 in
+      let t = Eprocess.create ~rule g rng ~start:0 in
+      let phase_log = Eprocess.phase_log t in
       let p = Eprocess.process t in
       ignore (Cover.run_until_edge_cover ~cap:(Cover.default_cap g) p);
       List.for_all
         (fun ph ->
           ph.Eprocess.kind <> Eprocess.Blue
           || ph.Eprocess.start_vertex = ph.Eprocess.end_vertex)
-        (Eprocess.phase_log t))
+        (phase_log ()))
 
 let obs11_blue_degrees_even =
   QCheck.Test.make
@@ -281,15 +282,14 @@ let obs12_edge_cover_sandwich =
 
 let phases_alternate () =
   let g = Gen_regular.cycle_union (Rng.create ~seed:11 ()) 20 2 in
-  let t =
-    Eprocess.create ~record_phases:true g (Rng.create ~seed:12 ()) ~start:0
-  in
+  let t = Eprocess.create g (Rng.create ~seed:12 ()) ~start:0 in
+  let phase_log = Eprocess.phase_log t in
   let p = Eprocess.process t in
   ignore (Cover.run_until_edge_cover ~cap:(Cover.default_cap g) p);
   (* A walk whose first blue phase is an Euler tour covers every edge with
      that phase still open; the next step is red and closes it. *)
   Eprocess.step t;
-  let phases = Eprocess.phase_log t in
+  let phases = phase_log () in
   Alcotest.(check bool) "at least one phase" true (List.length phases >= 1);
   let rec alternates = function
     | a :: (b :: _ as rest) ->
@@ -313,20 +313,19 @@ let phases_alternate () =
   Alcotest.(check bool) "phases chain" true (chained phases)
 
 let phase_lengths_account_steps () =
-  (* With record_phases, the completed phases partition the run: alternating
+  (* The recorded phases partition the run: alternating
      kinds, contiguous boundaries, and the blue-phase lengths summing to
      exactly blue_steps once the final blue phase has been closed (after
      edge cover every step is red, so one extra step closes it). *)
   let g = Gen_regular.cycle_union (Rng.create ~seed:21 ()) 30 2 in
-  let t =
-    Eprocess.create ~record_phases:true g (Rng.create ~seed:22 ()) ~start:0
-  in
+  let t = Eprocess.create g (Rng.create ~seed:22 ()) ~start:0 in
+  let phase_log = Eprocess.phase_log t in
   let p = Eprocess.process t in
   (match Cover.run_until_edge_cover ~cap:(Cover.default_cap g) p with
   | Some _ -> ()
   | None -> Alcotest.fail "edge cover not reached");
   Eprocess.step t;
-  let phases = Eprocess.phase_log t in
+  let phases = phase_log () in
   let rec alternates = function
     | a :: (b :: _ as rest) ->
         a.Eprocess.kind <> b.Eprocess.kind && alternates rest

@@ -19,7 +19,7 @@ module Cover = Ewalk.Cover
 module Eprocess = Ewalk.Eprocess
 module Srw = Ewalk.Srw
 module Rotor = Ewalk.Rotor
-module Engine = Ewalk_kernel.Engine
+module Engine = Ewalk.Engine
 module Snapshot = Ewalk_resume.Snapshot
 
 let graphs =
@@ -61,42 +61,34 @@ let single_walkers =
     "rotor-randomized";
   ]
 
-let single_walk kind g rng r =
+let single_walk kind g rng =
   let start = 0 in
-  let eprocess rule =
-    let t = Eprocess.create ~rule g rng ~start in
-    Eprocess.set_observer t (Some (record r));
-    Eprocess.process t
-  in
-  let srw t =
-    Srw.set_observer t (Some (record r));
-    Srw.process t
-  in
   match kind with
-  | "e-uar" -> eprocess Eprocess.Uar
-  | "e-lowest" -> eprocess Eprocess.Lowest_slot
-  | "e-highest" -> eprocess Eprocess.Highest_slot
+  | "e-uar" -> Eprocess.create g rng ~start
+  | "e-lowest" -> Eprocess.create ~rule:Eprocess.Lowest_slot g rng ~start
+  | "e-highest" -> Eprocess.create ~rule:Eprocess.Highest_slot g rng ~start
   | "e-adversary-min-blue" ->
-      eprocess (Eprocess.Adversarial Ewalk_expt.Exp_util.adversary_min_blue)
-  | "srw" -> srw (Srw.create g rng ~start)
-  | "lazy-srw" -> srw (Srw.create_lazy g rng ~start)
-  | "rotor-randomized" ->
-      let t = Rotor.create ~randomize_rotors:true g rng ~start in
-      Rotor.set_observer t (Some (record r));
-      Rotor.process t
+      Eprocess.create
+        ~rule:(Eprocess.Adversarial Ewalk_expt.Exp_util.adversary_min_blue)
+        g rng ~start
+  | "srw" -> Srw.create g rng ~start
+  | "lazy-srw" -> Srw.create_lazy g rng ~start
+  | "rotor-randomized" -> Rotor.create ~randomize_rotors:true g rng ~start
   | other -> invalid_arg other
+
+let engine_observer eng r = Engine.set_observer eng (Some (fun ~walker:_ ev -> record r ev))
 
 let single_line gname g seed kind =
   let rng = Rng.create ~seed () in
   let r = recorder () in
-  let p = single_walk kind g rng r in
+  let walk = single_walk kind g rng in
+  engine_observer walk r;
+  let p = Engine.process walk in
   let cover = Cover.run_until_vertex_cover p in
   Cover.run_steps p tail;
   line
     ~id:(Printf.sprintf "%s/seed=%d/%s" gname seed kind)
     ~cover ~positions:[| p.Cover.position () |] r ~rng_words:(Rng.save rng)
-
-let engine_observer eng r = Engine.set_observer eng (Some (fun ~walker:_ ev -> record r ev))
 
 let cooperating_line gname g seed =
   let rng = Rng.create ~seed () in

@@ -1,6 +1,6 @@
-(* Tests for the batched multi-walker lockstep kernel (Ewalk_kernel):
-   the packed generator state and the engine's lanes, W=1 bit-identity with the legacy single-walker
-   processes, cooperating/competing semantics, the differential battery
+(* Tests for the walk engine (Ewalk.Engine): the packed generator state
+   and the engine's lanes, W=1 agreement between Engine.create and the
+   single-walker view constructors, cooperating/competing semantics, the differential battery
    against the naive oracle at several job counts, parallel run
    equivalence, checkpoint round-trips, and the mutation-kill battery
    proving the checkers catch deliberately broken kernels. *)
@@ -18,9 +18,8 @@ module Srw = Ewalk.Srw
 module Rotor = Ewalk.Rotor
 module Cover = Ewalk.Cover
 module Coverage = Ewalk.Coverage
-module Engine = Ewalk_kernel.Engine
+module Engine = Ewalk.Engine
 module Xoshiro = Ewalk_prng.Xoshiro
-module Team = Ewalk_kernel.Team
 module Invariant = Ewalk_check.Invariant
 module Oracle = Ewalk_check.Oracle
 module Differential = Ewalk_check.Differential
@@ -122,7 +121,17 @@ let engine_root_not_advanced () =
       ~starts:(Array.init 8 (fun w -> w))
   in
   Engine.run_rounds eng 20;
-  Alcotest.(check (array int64)) "root untouched" before (Rng.save root)
+  Alcotest.(check (array int64)) "root untouched" before (Rng.save root);
+  (* A view's lane is the caller's generator: stepping advances it, one
+     [Rng.int _ 4] per simple-random-walk step on a 4-regular graph. *)
+  let reference = Rng.copy root in
+  let walk = Srw.create g root ~start:0 in
+  Srw.run_steps walk 25;
+  for _ = 1 to 25 do
+    ignore (Rng.int reference 4)
+  done;
+  Alcotest.(check (array int64)) "a view advances it" (Rng.save reference)
+    (Rng.save root)
 
 let rng_save_restore () =
   let rng = Rng.create ~seed:5 () in
@@ -180,18 +189,17 @@ let stream_distinct_and_pure () =
     done
   done
 
-(* -- W=1 bit-identity with the legacy processes ------------------------------ *)
+(* -- W=1: Engine.create against the view constructors ------------------------ *)
 
-(* Run a legacy single-walker process and a one-walker cooperating engine
-   from identical RNG states and compare everything: the cover step, the
+(* A one-walker walk can be built two ways, and both must walk the same
+   trajectory: [Engine.create] on lane [Rng.stream root 0] (a copy of the
+   root, which stays untouched), and the view constructors
+   ([Eprocess.create], [Srw.create], [Rotor.create]) on the caller's
+   generator itself, which they advance.  Compared: the cover step, the
    full per-step event stream (Step and Phase boundaries), final
-   position, step counters, and the visited-edge flags. *)
-let collect_legacy_events set_observer run =
-  let evs = ref [] in
-  set_observer (Some (fun ev -> evs := ev :: !evs));
-  let res = run () in
-  (res, List.rev !evs)
-
+   position, step counters, the visited-edge flags, and the generator
+   words — the view's caller generator ends where the created engine's
+   lane does. *)
 let collect_engine_events eng run =
   let evs = ref [] in
   Engine.set_observer eng (Some (fun ~walker:_ ev -> evs := ev :: !evs));
@@ -203,54 +211,47 @@ let event_list =
     (fun fmt ev -> Format.pp_print_string fmt (Trace.event_to_string ev))
     ( = )
 
+let view_of proc g rng ~start =
+  match proc with
+  | Engine.E_uar -> Eprocess.create g rng ~start
+  | Engine.E_lowest -> Eprocess.create ~rule:Eprocess.Lowest_slot g rng ~start
+  | Engine.E_highest -> Eprocess.create ~rule:Eprocess.Highest_slot g rng ~start
+  | Engine.Srw -> Srw.create g rng ~start
+  | Engine.Lazy_srw -> Srw.create_lazy g rng ~start
+  | Engine.Rotor -> Rotor.create ~randomize_rotors:true g rng ~start
+  | Engine.E_adversarial _ -> invalid_arg "view_of"
+
 let check_w1_identity ~name g ~seed proc =
   let start = 0 in
-  let legacy_rng = Rng.create ~seed () in
-  let engine_rng = Rng.create ~seed () in
-  let legacy_cover, legacy_evs, legacy_pos, legacy_steps, legacy_cov =
-    match proc with
-    | Engine.E_uar | Engine.E_lowest | Engine.E_highest ->
-        let rule =
-          match proc with
-          | Engine.E_uar -> Eprocess.Uar
-          | Engine.E_lowest -> Eprocess.Lowest_slot
-          | _ -> Eprocess.Highest_slot
-        in
-        let p = Eprocess.create ~rule g legacy_rng ~start in
-        let cover, evs =
-          collect_legacy_events (Eprocess.set_observer p) (fun () ->
-              Cover.run_until_vertex_cover (Eprocess.process p))
-        in
-        (cover, evs, Eprocess.position p, Eprocess.steps p, Eprocess.coverage p)
-    | Engine.Srw ->
-        let p = Srw.create g legacy_rng ~start in
-        let cover, evs =
-          collect_legacy_events (Srw.set_observer p) (fun () ->
-              Cover.run_until_vertex_cover (Srw.process p))
-        in
-        (cover, evs, Srw.position p, Srw.steps p, Srw.coverage p)
-    | Engine.Rotor ->
-        let p = Rotor.create ~randomize_rotors:true g legacy_rng ~start in
-        let cover, evs =
-          collect_legacy_events (Rotor.set_observer p) (fun () ->
-              Cover.run_until_vertex_cover (Rotor.process p))
-        in
-        (cover, evs, Rotor.position p, Rotor.steps p, Rotor.coverage p)
+  let view_rng = Rng.create ~seed () in
+  let view = view_of proc g view_rng ~start in
+  let root = Rng.create ~seed () in
+  let eng = Engine.create proc g root ~starts:[| start |] in
+  let view_cover, view_evs =
+    collect_engine_events view (fun () ->
+        Cover.run_until_vertex_cover (Engine.process view))
   in
-  let eng = Engine.create proc g engine_rng ~starts:[| start |] in
   let eng_cover, eng_evs =
     collect_engine_events eng (fun () ->
         Cover.run_until_vertex_cover (Engine.process eng))
   in
-  Alcotest.(check (option int)) (name ^ ": cover step") legacy_cover eng_cover;
-  Alcotest.(check (list event_list)) (name ^ ": event stream") legacy_evs
+  Alcotest.(check (option int)) (name ^ ": cover step") view_cover eng_cover;
+  Alcotest.(check (list event_list)) (name ^ ": event stream") view_evs
     eng_evs;
-  Alcotest.(check int) (name ^ ": position") legacy_pos (Engine.position eng);
-  Alcotest.(check int) (name ^ ": steps") legacy_steps (Engine.steps eng);
+  Alcotest.(check int) (name ^ ": position") (Engine.position view)
+    (Engine.position eng);
+  Alcotest.(check int) (name ^ ": steps") (Engine.steps view) (Engine.steps eng);
   Alcotest.(check (array bool))
     (name ^ ": visited edges")
-    (Coverage.visited_edge_flags legacy_cov)
-    (Coverage.visited_edge_flags (Engine.coverage eng))
+    (Coverage.visited_edge_flags (Engine.coverage view))
+    (Coverage.visited_edge_flags (Engine.coverage eng));
+  Alcotest.(check (array int64))
+    (name ^ ": the view advanced the caller's generator with its lane")
+    (lane_words eng 0) (Rng.save view_rng);
+  Alcotest.(check (array int64))
+    (name ^ ": create left the root alone")
+    (Rng.save (Rng.create ~seed ()))
+    (Rng.save root)
 
 let w1_identity_euar () =
   check_w1_identity ~name:"e-uar" (Lazy.force fixture_regular) ~seed:11
@@ -265,12 +266,14 @@ let w1_identity_ehighest () =
     Engine.E_highest
 
 let w1_identity_srw () =
-  check_w1_identity ~name:"srw" (Gen_classic.hypercube 4) ~seed:14 Engine.Srw
+  check_w1_identity ~name:"srw" (Gen_classic.hypercube 4) ~seed:14 Engine.Srw;
+  check_w1_identity ~name:"lazy-srw" (Gen_classic.hypercube 4) ~seed:14
+    Engine.Lazy_srw
 
 let w1_identity_rotor () =
   check_w1_identity ~name:"rotor" (Lazy.force fixture_regular) ~seed:15
     Engine.Rotor;
-  (* Rotor offsets after the run: engine vs legacy, vertex by vertex. *)
+  (* Rotor offsets after the run: engine vs view, vertex by vertex. *)
   let g = Gen_classic.hypercube 3 in
   let p = Rotor.create ~randomize_rotors:true g (Rng.create ~seed:15 ()) ~start:0 in
   let eng =
@@ -286,13 +289,13 @@ let w1_identity_rotor () =
       (Rotor.rotor_offset p v) (Engine.rotor_offset eng v)
   done
 
-(* A W=1 engine on every process, on generated graphs, shrunk by QCheck
-   toward a minimal divergence if one exists. *)
+(* Both constructions on every process, on generated graphs, shrunk by
+   QCheck toward a minimal divergence if one exists. *)
 let prop_w1_equals_legacy =
   QCheck.Test.make ~name:"W=1 kernel equals legacy walk on generated graphs"
     ~count:30
     QCheck.(
-      quad (int_range 0 4) (int_range 0 4) (int_range 8 32) (int_range 0 999))
+      quad (int_range 0 4) (int_range 0 5) (int_range 8 32) (int_range 0 999))
     (fun (fam, proc_i, size, seed) ->
       let grng = Rng.create ~seed:(1 + (seed * 3) + fam) () in
       let g =
@@ -310,45 +313,25 @@ let prop_w1_equals_legacy =
       QCheck.assume (Traversal.is_connected g);
       let proc =
         [| Engine.E_uar; Engine.E_lowest; Engine.E_highest; Engine.Srw;
-           Engine.Rotor |].(proc_i)
+           Engine.Lazy_srw; Engine.Rotor |].(proc_i)
       in
-      let legacy_cover, legacy_pos, legacy_steps =
-        let rng = Rng.create ~seed () in
-        match proc with
-        | Engine.E_uar | Engine.E_lowest | Engine.E_highest ->
-            let rule =
-              match proc with
-              | Engine.E_uar -> Eprocess.Uar
-              | Engine.E_lowest -> Eprocess.Lowest_slot
-              | _ -> Eprocess.Highest_slot
-            in
-            let p = Eprocess.create ~rule g rng ~start:0 in
-            let c = Cover.run_until_vertex_cover (Eprocess.process p) in
-            (c, Eprocess.position p, Eprocess.steps p)
-        | Engine.Srw ->
-            let p = Srw.create g rng ~start:0 in
-            let c = Cover.run_until_vertex_cover (Srw.process p) in
-            (c, Srw.position p, Srw.steps p)
-        | Engine.Rotor ->
-            let p = Rotor.create ~randomize_rotors:true g rng ~start:0 in
-            let c = Cover.run_until_vertex_cover (Rotor.process p) in
-            (c, Rotor.position p, Rotor.steps p)
-      in
-      let eng =
-        Engine.create proc g (Rng.create ~seed ()) ~starts:[| 0 |]
-      in
+      let view_rng = Rng.create ~seed () in
+      let view = view_of proc g view_rng ~start:0 in
+      let view_cover = Cover.run_until_vertex_cover (Engine.process view) in
+      let eng = Engine.create proc g (Rng.create ~seed ()) ~starts:[| 0 |] in
       let eng_cover = Cover.run_until_vertex_cover (Engine.process eng) in
       if
-        legacy_cover <> eng_cover
-        || legacy_pos <> Engine.position eng
-        || legacy_steps <> Engine.steps eng
+        view_cover <> eng_cover
+        || Engine.position view <> Engine.position eng
+        || Engine.steps view <> Engine.steps eng
+        || Rng.save view_rng <> lane_words eng 0
       then
         QCheck.Test.fail_reportf
-          "divergence (n=%d m=%d proc=%d): legacy cover=%s pos=%d steps=%d, \
-           kernel cover=%s pos=%d steps=%d"
+          "divergence (n=%d m=%d proc=%d): view cover=%s pos=%d steps=%d, \
+           engine cover=%s pos=%d steps=%d"
           (Graph.n g) (Graph.m g) proc_i
-          (match legacy_cover with None -> "-" | Some c -> string_of_int c)
-          legacy_pos legacy_steps
+          (match view_cover with None -> "-" | Some c -> string_of_int c)
+          (Engine.position view) (Engine.steps view)
           (match eng_cover with None -> "-" | Some c -> string_of_int c)
           (Engine.position eng) (Engine.steps eng)
       else true)
@@ -609,14 +592,16 @@ let mutation_control_clean () =
 
 (* -- Team per-walker streams (regression) ------------------------------------ *)
 
-(* Team walkers must draw from per-walker derived streams, never a shared
-   or trial-index-reseeded one: the packed bank's walker slices have to
-   be pairwise distinct at creation. *)
+(* Team walkers (cooperating E_uar walkers spread from one generator)
+   must draw from per-walker derived streams, never a shared or
+   trial-index-reseeded one: the lanes have to be pairwise distinct at
+   creation. *)
 let team_walker_streams_distinct () =
   let g = Lazy.force fixture_regular in
-  let team = Team.create_spread g (Rng.create ~seed:6 ()) ~walkers:4 in
-  let ck = Engine.checkpoint (Team.engine team) in
-  let words = ck.Engine.ck_prng in
+  let team =
+    Engine.create_spread Engine.E_uar g (Rng.create ~seed:6 ()) ~walkers:4
+  in
+  let words = (Engine.checkpoint team).Engine.ck_prng in
   Alcotest.(check int) "4 words per walker" 16 (Array.length words);
   let slice w = Array.sub words (4 * w) 4 in
   for i = 0 to 3 do
@@ -628,8 +613,10 @@ let team_walker_streams_distinct () =
     done
   done;
   (* And two teams from different root seeds must not collide either. *)
-  let team' = Team.create_spread g (Rng.create ~seed:7 ()) ~walkers:4 in
-  let words' = (Engine.checkpoint (Team.engine team')).Engine.ck_prng in
+  let team' =
+    Engine.create_spread Engine.E_uar g (Rng.create ~seed:7 ()) ~walkers:4
+  in
+  let words' = (Engine.checkpoint team').Engine.ck_prng in
   Alcotest.(check bool) "teams differ" false (words = words')
 
 (* -- checkpoint / resume ----------------------------------------------------- *)

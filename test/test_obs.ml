@@ -591,7 +591,7 @@ let trace_full_run_roundtrip () =
   let sink = Trace.of_fun (fun ev -> events := ev :: !events) in
   let obs = Observe.create ~sink () in
   let t = Eprocess.create g (Rng.create ~seed:8 ()) ~start:0 in
-  Observe.attach_eprocess obs t;
+  Observe.attach obs t;
   let p = Observe.instrument obs (Eprocess.process t) in
   let cover =
     match Cover.run_until_vertex_cover ~cap:100_000 p with
@@ -681,7 +681,7 @@ let observed_eprocess_run ?(ring_capacity = 200_000) ~seed ~n () =
   let metrics = Metrics.create () in
   let r = Trace.ring ~capacity:ring_capacity in
   let obs = Observe.create ~metrics ~sink:(Trace.ring_sink r) () in
-  Observe.attach_eprocess obs t;
+  Observe.attach obs t;
   let p = Observe.instrument obs (Eprocess.process t) in
   let cover = Cover.run_until_vertex_cover ~cap:(Cover.default_cap g) p in
   Observe.finish obs p;
@@ -742,7 +742,7 @@ let observe_noop_attaches_nothing () =
   let t = Eprocess.create g (Rng.create ~seed:5 ()) ~start:0 in
   let obs = Observe.create () in
   Alcotest.(check bool) "noop bundle" true (Observe.is_noop obs);
-  Observe.attach_eprocess obs t;
+  Observe.attach obs t;
   let p = Observe.instrument obs (Eprocess.process t) in
   (* A noop bundle must leave the process untouched - same closure. *)
   Cover.run_steps p 5;
@@ -753,7 +753,7 @@ let observe_srw_attach () =
   let t = Srw.create g (Rng.create ~seed:9 ()) ~start:0 in
   let metrics = Metrics.create () in
   let obs = Observe.create ~metrics () in
-  Observe.attach_srw obs t;
+  Observe.attach obs t;
   let p = Observe.instrument obs (Srw.process t) in
   Cover.run_steps p 100;
   Observe.finish obs p;
@@ -819,7 +819,7 @@ let flight_dump_replays () =
   Alcotest.(check bool) "wrap disables ambient recording" false
     (Flight.ambient_active ());
   let obs = Observe.create ~sink () in
-  Observe.attach_eprocess obs t;
+  Observe.attach obs t;
   let p = Observe.instrument obs (Eprocess.process t) in
   (match Cover.run_until_vertex_cover ~cap:(Cover.default_cap g) p with
   | Some _ -> ()
@@ -883,7 +883,7 @@ let jsonl_of_run ~seed ~n =
   let t = Eprocess.create g (Rng.create ~seed:(seed + 1) ()) ~start:0 in
   let metrics = Metrics.create () in
   let obs = Observe.create ~metrics ~sink () in
-  Observe.attach_eprocess obs t;
+  Observe.attach obs t;
   let p = Observe.instrument obs (Eprocess.process t) in
   ignore (Cover.run_until_vertex_cover ~cap:(Cover.default_cap g) p);
   Observe.finish obs p;

@@ -237,7 +237,7 @@ let determinism_gauges_across_jobs () =
       let g = Ewalk_graph.Gen_regular.cycle_union rng (16 + (2 * trial)) 2 in
       let t = Ewalk.Eprocess.create g rng ~start:0 in
       let o = Ewalk.Observe.for_trial obs ~trial in
-      Ewalk.Observe.attach_eprocess o t;
+      Ewalk.Observe.attach o t;
       let p = Ewalk.Observe.instrument o (Ewalk.Eprocess.process t) in
       let cover =
         Ewalk.Cover.run_until_vertex_cover ~cap:(Ewalk.Cover.default_cap g) p

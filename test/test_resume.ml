@@ -179,8 +179,19 @@ let prop_eprocess_snapshot_roundtrip =
           && Eprocess.blue_steps p = Eprocess.blue_steps q
           && Eprocess.red_steps p = Eprocess.red_steps q))
 
-let snapshot_roundtrip_fixed name make step position steps coverage wrap unwrap
-    () =
+(* The payload a snapshot file carries, as written. *)
+let payload_of_file path =
+  match Json.of_string (read_file path) with
+  | Ok doc -> (
+      match Json.member "payload" doc with
+      | Some p -> p
+      | None -> Alcotest.fail "snapshot has no payload")
+  | Error e -> Alcotest.failf "snapshot is not JSON: %s" e
+
+(* A single-walker walk writes the one-walker "kernel" payload (its
+   process under [proc]) and reads back under its view's constructor. *)
+let snapshot_roundtrip_fixed name ~proc make step position steps coverage wrap
+    unwrap () =
   let g = Exp_util.regular_graph (Rng.create ~seed:11 ()) ~n:40 ~d:4 in
   let p = make g in
   for _ = 1 to 57 do
@@ -191,25 +202,31 @@ let snapshot_roundtrip_fixed name make step position steps coverage wrap unwrap
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       ok_or_fail (name ^ " write") (Snapshot.write ~path (wrap p));
+      let payload = payload_of_file path in
+      let field key = Option.bind (Json.member key payload) Json.to_string_opt in
+      Alcotest.(check (option string)) (name ^ " payload kind") (Some "kernel")
+        (field "kind");
+      Alcotest.(check (option string)) (name ^ " payload proc") (Some proc)
+        (field "proc");
       let q = unwrap (ok_or_fail (name ^ " read") (Snapshot.read g ~path)) in
       check_lockstep ~horizon:200 ~step ~position ~steps ~coverage p q)
 
 let srw_snapshot_roundtrip =
-  snapshot_roundtrip_fixed "srw"
+  snapshot_roundtrip_fixed "srw" ~proc:"srw"
     (fun g -> Srw.create g (Rng.create ~seed:5 ()) ~start:0)
     Srw.step Srw.position Srw.steps Srw.coverage
     (fun p -> Snapshot.Srw p)
     (function Snapshot.Srw p -> p | _ -> Alcotest.fail "wrong kind")
 
 let lazy_srw_snapshot_roundtrip =
-  snapshot_roundtrip_fixed "lazy-srw"
+  snapshot_roundtrip_fixed "lazy-srw" ~proc:"lazy-srw"
     (fun g -> Srw.create_lazy g (Rng.create ~seed:5 ()) ~start:0)
     Srw.step Srw.position Srw.steps Srw.coverage
     (fun p -> Snapshot.Srw p)
     (function Snapshot.Srw p -> p | _ -> Alcotest.fail "wrong kind")
 
 let rotor_snapshot_roundtrip =
-  snapshot_roundtrip_fixed "rotor"
+  snapshot_roundtrip_fixed "rotor" ~proc:"rotor"
     (fun g ->
       Rotor.create ~randomize_rotors:true g (Rng.create ~seed:5 ()) ~start:0)
     Rotor.step Rotor.position Rotor.steps Rotor.coverage
@@ -218,7 +235,7 @@ let rotor_snapshot_roundtrip =
 
 (* -- kernel-competing snapshots (ewalk-snapshot/2, bit-packed sets) --------- *)
 
-module Kengine = Ewalk_kernel.Engine
+module Kengine = Ewalk.Engine
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -432,11 +449,34 @@ let snapshot_refuses_partition () =
       reseal path
         (List.map (fun (key, v) ->
              match (key, v) with
-             | "blue_steps", Json.Int b -> (key, Json.Int (b - 1))
-             | "red_steps", Json.Int r -> (key, Json.Int (r + 1))
+             | "wblue", Json.List [ Json.Int b ] -> (key, Json.List [ Json.Int (b - 1) ])
+             | "wred", Json.List [ Json.Int r ] -> (key, Json.List [ Json.Int (r + 1) ])
              | _ -> (key, v)));
       expect_mismatch "blue steps != edges seen" ~mentions:"edges seen"
         (Snapshot.read g ~path))
+
+(* Every walk now snapshots as "kernel" or "kernel-competing".  A payload
+   of a retired single-walker kind, written before every walk became an
+   engine, is refused as a Mismatch that names the kind — by read and by
+   describe alike. *)
+let snapshot_refuses_retired_kinds () =
+  let g = Exp_util.regular_graph (Rng.create ~seed:3 ()) ~n:20 ~d:4 in
+  let p = Eprocess.create g (Rng.create ~seed:4 ()) ~start:0 in
+  Eprocess.run_steps p 25;
+  let path = temp_path ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun kind ->
+          ok_or_fail "write" (Snapshot.write ~path (Snapshot.Eprocess p));
+          reseal path
+            (List.map (fun (key, v) ->
+                 if key = "kind" then (key, Json.String kind) else (key, v)));
+          let mentions = Printf.sprintf "%S" kind in
+          expect_mismatch kind ~mentions (Snapshot.read g ~path);
+          expect_mismatch (kind ^ " inspect") ~mentions (Snapshot.describe ~path))
+        [ "eprocess"; "srw"; "lazy-srw"; "rotor" ])
 
 (* -- Snapshot run provenance ------------------------------------------------- *)
 
@@ -713,6 +753,8 @@ let () =
             snapshot_rejects_corruption;
           Alcotest.test_case "refuses swap-partition payloads" `Quick
             snapshot_refuses_partition;
+          Alcotest.test_case "refuses retired single-walker kinds" `Quick
+            snapshot_refuses_retired_kinds;
         ] );
       ( "campaign",
         [

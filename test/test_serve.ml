@@ -162,14 +162,15 @@ let proto_config_rejections () =
     (of_json {|{"family":"cycle","n":16,"seed":"seven"}|});
   expect_proto_error ~status:400 ~code:"unknown_process"
     (of_json {|{"family":"cycle","n":16,"process":"levy-flight"}|});
-  (* lazy-srw has no kernel port: fine alone, rejected multi-walker. *)
-  ignore
-    (ok_or_fail (of_json {|{"family":"cycle","n":16,"process":"lazy-srw"}|}));
-  expect_proto_error ~status:400 ~code:"unknown_process"
-    (of_json {|{"family":"cycle","n":16,"process":"lazy-srw","walkers":2}|});
-  expect_proto_error ~status:400 ~code:"unknown_process"
-    (of_json
-       {|{"family":"cycle","n":16,"process":"lazy-srw","mode":"competing"}|});
+  (* Every engine process serves at any walker count and in either mode:
+     lazy-srw alone, multi-walker and competing. *)
+  List.iter
+    (fun body -> ignore (ok_or_fail (of_json body)))
+    [
+      {|{"family":"cycle","n":16,"process":"lazy-srw"}|};
+      {|{"family":"cycle","n":16,"process":"lazy-srw","walkers":2}|};
+      {|{"family":"cycle","n":16,"process":"lazy-srw","mode":"competing"}|};
+    ];
   expect_proto_error ~status:400 ~code:"bad_family"
     (of_json
        (Printf.sprintf {|{"family":"%s","n":16}|} (String.make 80 'x')));
@@ -423,7 +424,7 @@ let scenario_gen =
   in
   let kernel =
     family >>= fun family ->
-    oneofl [ "e-process"; "e-process:highest"; "srw"; "rotor" ]
+    oneofl [ "e-process"; "e-process:highest"; "srw"; "lazy-srw"; "rotor" ]
     >>= fun process ->
     int_range 12 40 >>= fun n ->
     int_range 1 999 >>= fun seed ->

@@ -1,9 +1,10 @@
-(* Tests for the multi-walker Team E-process and its shared bookkeeping. *)
+(* Tests for the team E-process — W cooperating E_uar walkers of one
+   engine — and its shared bookkeeping. *)
 
 module Graph = Ewalk_graph.Graph
 module Gen_classic = Ewalk_graph.Gen_classic
 module Gen_regular = Ewalk_graph.Gen_regular
-module Team = Ewalk_kernel.Team
+module Engine = Ewalk.Engine
 module Arc_marks = Ewalk.Arc_marks
 module Coverage = Ewalk.Coverage
 module Cover = Ewalk.Cover
@@ -67,19 +68,19 @@ let unvisited_slot_with_edge () =
   Alcotest.check_raises "gone" Not_found (fun () ->
       ignore (Arc_marks.slot_of_edge u 0 0))
 
-(* -- Team --------------------------------------------------------------------- *)
+(* -- team --------------------------------------------------------------------- *)
 
 let team_validation () =
   let g = Gen_classic.cycle 5 in
   let rng = Rng.create () in
-  Alcotest.check_raises "no walkers" (Invalid_argument "Team.create: no walkers")
-    (fun () -> ignore (Team.create g rng ~starts:[]));
+  Alcotest.check_raises "no walkers" (Invalid_argument "Engine.create: no walkers")
+    (fun () -> ignore (Engine.create Engine.E_uar g rng ~starts:[||]));
   Alcotest.check_raises "bad start"
-    (Invalid_argument "Team.create: start out of range") (fun () ->
-      ignore (Team.create g rng ~starts:[ 9 ]));
+    (Invalid_argument "Engine.create: start out of range") (fun () ->
+      ignore (Engine.create Engine.E_uar g rng ~starts:[| 9 |]));
   Alcotest.check_raises "bad count"
-    (Invalid_argument "Team.create_spread: walkers < 1") (fun () ->
-      ignore (Team.create_spread g rng ~walkers:0))
+    (Invalid_argument "Engine.create_spread: walkers < 1") (fun () ->
+      ignore (Engine.create_spread Engine.E_uar g rng ~walkers:0))
 
 let team_single_walker_covers_like_eprocess () =
   (* On a cycle, one walker must tour deterministically: n - 1 steps to
@@ -87,29 +88,29 @@ let team_single_walker_covers_like_eprocess () =
   let n = 15 in
   let g = Gen_classic.cycle n in
   let rng = Rng.create ~seed:1 () in
-  let t = Team.create g rng ~starts:[ 0 ] in
+  let t = Engine.create Engine.E_uar g rng ~starts:[| 0 |] in
   Alcotest.(check (option int)) "cycle tour" (Some (n - 1))
-    (Cover.run_until_vertex_cover (Team.process t))
+    (Cover.run_until_vertex_cover (Engine.process t))
 
 let team_counts_rounds () =
   let g = Gen_classic.torus2d 4 4 in
   let rng = Rng.create ~seed:2 () in
-  let t = Team.create g rng ~starts:[ 0; 5; 10 ] in
-  Alcotest.(check int) "3 walkers" 3 (Team.walkers t);
-  Team.step_round t;
-  Alcotest.(check int) "one round" 1 (Team.rounds t);
-  Alcotest.(check int) "3 steps" 3 (Team.steps t);
-  Alcotest.(check int) "positions array" 3 (Array.length (Team.positions t))
+  let t = Engine.create Engine.E_uar g rng ~starts:[| 0; 5; 10 |] in
+  Alcotest.(check int) "3 walkers" 3 (Engine.walkers t);
+  Engine.step_round t;
+  Alcotest.(check int) "one round" 1 (Engine.rounds t);
+  Alcotest.(check int) "3 steps" 3 (Engine.steps t);
+  Alcotest.(check int) "positions array" 3 (Array.length (Engine.positions t))
 
 let team_covers_even_graphs () =
   let rng = Rng.create ~seed:3 () in
   let g = Gen_regular.random_regular_connected rng 500 4 in
   List.iter
     (fun k ->
-      let t = Team.create_spread g rng ~walkers:k in
+      let t = Engine.create_spread Engine.E_uar g rng ~walkers:k in
       match
         Cover.run_until_vertex_cover ~cap:(Cover.default_cap g)
-          (Team.process t)
+          (Engine.process t)
       with
       | Some _ -> ()
       | None -> Alcotest.fail (Printf.sprintf "%d walkers capped" k))
@@ -123,10 +124,10 @@ let team_total_work_stays_linear () =
   let g = Gen_regular.random_regular_connected rng n 4 in
   List.iter
     (fun k ->
-      let t = Team.create_spread g rng ~walkers:k in
+      let t = Engine.create_spread Engine.E_uar g rng ~walkers:k in
       match
         Cover.run_until_vertex_cover ~cap:(Cover.default_cap g)
-          (Team.process t)
+          (Engine.process t)
       with
       | Some steps ->
           Alcotest.(check bool)
@@ -141,13 +142,13 @@ let team_edge_marks_shared () =
      no edge is claimed twice. *)
   let rng = Rng.create ~seed:5 () in
   let g = Gen_regular.random_regular_connected rng 300 4 in
-  let t = Team.create_spread g rng ~walkers:4 in
+  let t = Engine.create_spread Engine.E_uar g rng ~walkers:4 in
   match
-    Cover.run_until_edge_cover ~cap:(Cover.default_cap g) (Team.process t)
+    Cover.run_until_edge_cover ~cap:(Cover.default_cap g) (Engine.process t)
   with
   | None -> Alcotest.fail "capped"
   | Some _ ->
-      let cov = Team.coverage t in
+      let cov = Engine.coverage t in
       Alcotest.(check bool) "all edges visited" true
         (Coverage.all_edges_visited cov)
 
@@ -158,8 +159,8 @@ let prop_team_covers =
     (fun (seed, k) ->
       let rng = Rng.create ~seed () in
       let g = Gen_regular.cycle_union rng 20 2 in
-      let t = Team.create_spread g rng ~walkers:k in
-      Cover.run_until_vertex_cover ~cap:(Cover.default_cap g) (Team.process t)
+      let t = Engine.create_spread Engine.E_uar g rng ~walkers:k in
+      Cover.run_until_vertex_cover ~cap:(Cover.default_cap g) (Engine.process t)
       <> None)
 
 let () =

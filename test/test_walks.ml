@@ -1,4 +1,4 @@
-(* Tests for the baseline walk processes: SRW (plain/lazy/weighted),
+(* Tests for the baseline walk processes: SRW (plain/lazy),
    rotor-router, RWC(d), locally fair strategies, and the V-process. *)
 
 module Graph = Ewalk_graph.Graph
@@ -40,7 +40,7 @@ let srw_validation () =
   let iso = Graph.of_edges ~n:1 [] in
   let t = Srw.create iso (Rng.create ()) ~start:0 in
   Alcotest.check_raises "isolated"
-    (Invalid_argument "Srw.step: isolated vertex") (fun () -> Srw.step t)
+    (Invalid_argument "Engine.step: isolated vertex") (fun () -> Srw.step t)
 
 let srw_stationary_visits () =
   (* Long-run visit frequencies approach pi = d(v)/2m: on a lollipop a
@@ -82,62 +82,6 @@ let lazy_walk_stays () =
     (Printf.sprintf "%d/10000 ~ 5000 stays" !stays)
     true
     (!stays > 4500 && !stays < 5500)
-
-let weighted_walk_bias () =
-  (* Triangle with one overwhelming weight: from vertex 0 the walk should
-     almost always take the heavy edge (0,1). *)
-  let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
-  let weights = [| 1000.0; 1.0; 1.0 |] in
-  let rng = Rng.create ~seed:4 () in
-  let heavy = ref 0 in
-  let trials = 2_000 in
-  for _ = 1 to trials do
-    let t = Srw.create_weighted g rng ~weights ~start:0 in
-    Srw.step t;
-    if Srw.position t = 1 then incr heavy
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "%d/%d took heavy edge" !heavy trials)
-    true
-    (float_of_int !heavy /. float_of_int trials > 0.95)
-
-let weighted_walk_validation () =
-  let g = Gen_classic.cycle 3 in
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument "Srw.create_weighted: weight array length <> m")
-    (fun () ->
-      ignore (Srw.create_weighted g (Rng.create ()) ~weights:[| 1.0 |] ~start:0));
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Srw.create_weighted: non-positive weight") (fun () ->
-      ignore
-        (Srw.create_weighted g (Rng.create ()) ~weights:[| 1.0; 0.0; 1.0 |]
-           ~start:0))
-
-let weighted_uniform_equals_srw_distribution () =
-  (* With equal weights the one-step distribution is uniform over
-     neighbours. *)
-  let g = Gen_classic.star 5 in
-  let rng = Rng.create ~seed:5 () in
-  let counts = Array.make 5 0 in
-  for _ = 1 to 8_000 do
-    let t = Srw.create_weighted g rng ~weights:(Array.make 4 2.5) ~start:0 in
-    Srw.step t;
-    counts.(Srw.position t) <- counts.(Srw.position t) + 1
-  done;
-  for v = 1 to 4 do
-    Alcotest.(check bool) "roughly uniform" true
-      (counts.(v) > 1_700 && counts.(v) < 2_300)
-  done
-
-let srw_hitting_time () =
-  let g = Gen_classic.cycle 8 in
-  let rng = Rng.create ~seed:6 () in
-  Alcotest.(check (option int)) "self hit is 0" (Some 0)
-    (Srw.hitting_time g rng ~from:3 ~target:3);
-  match Srw.hitting_time g rng ~from:0 ~target:4 with
-  | Some t -> Alcotest.(check bool) "at least distance" true (t >= 4)
-  | None -> Alcotest.fail "hitting time capped on a cycle"
-
 
 let srw_one_step_uniform () =
   (* From a degree-4 vertex each neighbour is chosen with probability 1/4. *)
@@ -406,12 +350,6 @@ let () =
           Alcotest.test_case "validation" `Quick srw_validation;
           Alcotest.test_case "stationary visits" `Quick srw_stationary_visits;
           Alcotest.test_case "lazy stays" `Quick lazy_walk_stays;
-          Alcotest.test_case "weighted bias" `Quick weighted_walk_bias;
-          Alcotest.test_case "weighted validation" `Quick
-            weighted_walk_validation;
-          Alcotest.test_case "weighted uniform" `Quick
-            weighted_uniform_equals_srw_distribution;
-          Alcotest.test_case "hitting time" `Quick srw_hitting_time;
           Alcotest.test_case "one-step uniform" `Quick srw_one_step_uniform;
           Alcotest.test_case "e-process blue choice uniform" `Quick
             eprocess_blue_choice_uniform;
