@@ -251,8 +251,12 @@ let set_fault t f = t.fault <- f
 
 (* --- stepping -------------------------------------------------------- *)
 
-let emit_step_ev t w ev =
-  match t.observer with Some f -> f ~walker:w ev | None -> ()
+(* The [Step] event is built only when someone listens, so an unobserved
+   step allocates nothing. *)
+let emit_step t w ~step ~vertex ~edge ~blue =
+  match t.observer with
+  | None -> ()
+  | Some f -> f ~walker:w (Trace.Step { step; vertex; edge; blue })
 
 let emit_phase_ev t w ev =
   (match t.observer with Some f -> f ~walker:w ev | None -> ());
@@ -373,7 +377,7 @@ let step_shared t sh w =
   if slot < 0 then begin
     (* A lazy stay: a move with no edge. *)
     Coverage.record_move sh.sh_coverage ~step v;
-    emit_step_ev t w (Trace.Step { step; vertex = v; edge = -1; blue })
+    emit_step t w ~step ~vertex:v ~edge:(-1) ~blue
   end
   else begin
     let target = Graph.slot_vertex t.g slot in
@@ -382,7 +386,7 @@ let step_shared t sh w =
     Coverage.record_edge sh.sh_coverage ~step e;
     t.pos.(dest t w) <- target;
     Coverage.record_move sh.sh_coverage ~step target;
-    emit_step_ev t w (Trace.Step { step; vertex = target; edge = e; blue })
+    emit_step t w ~step ~vertex:target ~edge:e ~blue
   end
 
 (* Competing walkers step on private marks that record every traversed
@@ -398,7 +402,7 @@ let step_private t pv w =
   let blue = t.wblue.(w) <> blue0 in
   let step = t.wsteps.(w) in
   if slot < 0 then
-    emit_step_ev t w (Trace.Step { step; vertex = v; edge = -1; blue })
+    emit_step t w ~step ~vertex:v ~edge:(-1) ~blue
   else begin
     let e = Graph.slot_edge t.g slot in
     let target = Graph.slot_vertex t.g slot in
@@ -414,7 +418,7 @@ let step_private t pv w =
       if pv.pv_vcount.(w) = Graph.n t.g && pv.pv_cover_at.(w) < 0 then
         pv.pv_cover_at.(w) <- step
     end;
-    emit_step_ev t w (Trace.Step { step; vertex = target; edge = e; blue })
+    emit_step t w ~step ~vertex:target ~edge:e ~blue
   end
 
 let step_walker t w =
