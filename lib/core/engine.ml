@@ -444,20 +444,21 @@ let run_steps t k =
     step t
   done
 
-let run_until t ~cap covered =
+let run_to_vertex_cover ?cap t =
   let cov = coverage t in
   let cap = match cap with Some c -> c | None -> Cover.default_cap t.g in
-  while (not (covered cov)) && t.gsteps < cap do
+  while (not (Coverage.all_vertices_visited cov)) && t.gsteps < cap do
     step t
-  done
-
-let run_to_vertex_cover ?cap t =
-  run_until t ~cap Coverage.all_vertices_visited;
-  Coverage.vertex_cover_step (coverage t)
+  done;
+  Coverage.vertex_cover_step cov
 
 let run_to_edge_cover ?cap t =
-  run_until t ~cap Coverage.all_edges_visited;
-  Coverage.edge_cover_step (coverage t)
+  let cov = coverage t in
+  let cap = match cap with Some c -> c | None -> Cover.default_cap t.g in
+  while (not (Coverage.all_edges_visited cov)) && t.gsteps < cap do
+    step t
+  done;
+  Coverage.edge_cover_step cov
 
 let no_observer t =
   match (t.observer, t.phase_observer) with None, None -> true | _ -> false
