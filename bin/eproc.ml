@@ -564,9 +564,9 @@ let cover_cmd =
   in
   let compete_arg =
     let doc =
-      "Competing kernel mode: every walker keeps private visited sets and \
+      "Competing engine mode: every walker keeps private visited sets and \
        the measured time is the first walker's own vertex cover step \
-       (implies the kernel engine; combine with $(b,--walkers))."
+       (combine with $(b,--walkers))."
     in
     Arg.(value & flag & info [ "compete" ] ~doc)
   in

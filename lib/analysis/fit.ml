@@ -36,6 +36,8 @@ let affine xs ys =
 
 let affine_log_x ns ys = affine (Array.map log ns) ys
 
+type scale_fit = { c : float; r_squared : float; se : float }
+
 let scale f xs ys =
   let n = check_lengths xs ys in
   let sfy = ref 0.0 and sff = ref 0.0 in
@@ -46,7 +48,16 @@ let scale f xs ys =
   done;
   if !sff = 0.0 then invalid_arg "Fit.scale: model vanishes on all points";
   let c = !sfy /. !sff in
-  (c, r_squared_of (fun x -> c *. f x) xs ys)
+  let ss_res = ref 0.0 in
+  for i = 0 to n - 1 do
+    let r = ys.(i) -. (c *. f xs.(i)) in
+    ss_res := !ss_res +. (r *. r)
+  done;
+  {
+    c;
+    r_squared = r_squared_of (fun x -> c *. f x) xs ys;
+    se = sqrt (!ss_res /. float_of_int (n - 1) /. !sff);
+  }
 
 let scale_n_log_n ns cover = scale (fun n -> n *. log n) ns cover
 let scale_linear ns cover = scale (fun n -> n) ns cover

@@ -22,18 +22,26 @@ val affine_log_x : float array -> float array -> linear_fit
 (** [affine_log_x ns ys] fits [y = a + b ln n] — the Figure 1 discriminator
     applied to normalised cover times [y = C_V / n]. *)
 
-val scale : (float -> float) -> float array -> float array -> float * float
-(** [scale f xs ys] fits the one-parameter model [y = c f(x)], returning
-    [(c, r_squared)]; used for the paper's [c n ln n] constants.
+type scale_fit = {
+  c : float;  (** the fitted constant *)
+  r_squared : float;
+  se : float;
+      (** standard error of [c]: [sqrt (Σ r² / (k - 1) / Σ f(x)²)] over
+          the [k] points' residuals [r = y - c f(x)]; [c ± 1.96 se] is the
+          normal-approximation 95% interval *)
+}
+
+val scale : (float -> float) -> float array -> float array -> scale_fit
+(** [scale f xs ys] fits the one-parameter model [y = c f(x)] by least
+    squares; used for the paper's [c n ln n] constants.
     @raise Invalid_argument as {!affine}, or if [f] vanishes on all
     points. *)
 
-val scale_n_log_n : float array -> float array -> float * float
-(** [scale_n_log_n ns cover_times] fits [C = c n ln n] and returns
-    [(c, r_squared)] — directly comparable to Figure 1's bracketed
-    constants. *)
+val scale_n_log_n : float array -> float array -> scale_fit
+(** [scale_n_log_n ns cover_times] fits [C = c n ln n] — directly
+    comparable to Figure 1's bracketed constants. *)
 
-val scale_linear : float array -> float array -> float * float
+val scale_linear : float array -> float array -> scale_fit
 (** [scale_linear ns cover_times] fits [C = c n]. *)
 
 val r_squared_of : (float -> float) -> float array -> float array -> float

@@ -367,7 +367,7 @@ let kernel_stopped c eng =
    is a self-contained single walk over its private visited set
    (walker-local step stamps), so each gets its own shadow, with the slot
    rule pinned for the deterministic rules.  A 1-walker cooperating engine
-   is likewise a single legacy walk.  Multi-walker cooperating streams
+   is likewise a single walk.  Multi-walker cooperating streams
    interleave over shared marks — no per-stream shadow applies; those
    configurations are covered by the lockstep oracle. *)
 let kernel_monitors c g starts =

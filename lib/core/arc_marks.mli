@@ -10,7 +10,7 @@
     walks index with the same draw.  Regions wider than one word (degree
     above 56) are read a word at a time.
 
-    {!Eprocess}, the kernel engine's cooperating walkers (one shared set)
+    The {!Engine}'s cooperating walkers (one shared set)
     and its competing walkers (one private set each) all step on these
     functions. *)
 

@@ -1,5 +1,5 @@
 (* Bytes-backed packed bit array.  One bit per index, LSB-first within
-   each byte — the layout of the kernel engine's per-walker sets and of
+   each byte — the layout of the walk engine's per-walker sets and of
    their snapshot codec. *)
 
 type t = { len : int; bits : Bytes.t }
@@ -60,7 +60,7 @@ let fill_all t =
 
 let reset t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
-(* Raw byte view for the kernel engine's step loop. *)
+(* Raw byte view for the walk engine's step loop. *)
 let unsafe_bytes t = t.bits
 
 let of_bytes ~len bits =

@@ -1,7 +1,7 @@
 (** Packed bit arrays.
 
     One bit per index over [Bytes.t], LSB-first within each byte.  Used
-    for the kernel engine's per-walker edge and vertex sets in their
+    for the walk engine's per-walker edge and vertex sets in their
     snapshot form ({!Arc_marks.edge_set}).  [get]/[set] are O(1);
     {!popcount} is O(len/8) and only appears on recount and restore
     paths, never on the step path. *)
@@ -34,7 +34,7 @@ val reset : t -> unit
 
 val unsafe_bytes : t -> Bytes.t
 (** The backing bytes, unpadded length [ceil (length/8)].  Shared, not a
-    copy — the kernel engine's step loop indexes its vertex sets
+    copy — the walk engine's step loop indexes its vertex sets
     directly. *)
 
 val of_bytes : len:int -> Bytes.t -> t

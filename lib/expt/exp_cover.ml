@@ -43,13 +43,15 @@ let fit_notes ~d series =
       let normalized =
         Array.map2 (fun c n -> c /. n) covers ns
       in
-      let c_nlogn, r2_nlogn = Fit.scale_n_log_n ns covers in
-      let c_lin, r2_lin = Fit.scale_linear ns covers in
+      let nlogn = Fit.scale_n_log_n ns covers in
+      let lin = Fit.scale_linear ns covers in
       let slope = Fit.affine_log_x ns normalized in
       [
         Printf.sprintf
-          "d=%d: C=c*n*ln(n) fit c=%.3f (R2=%.3f); C=c*n fit c=%.2f (R2=%.3f); slope of C/n vs ln n: b=%.3f"
-          d c_nlogn r2_nlogn c_lin r2_lin slope.Fit.slope;
+          "d=%d: C=c*n*ln(n) fit c=%.3f +/- %.3f (R2=%.3f); C=c*n fit c=%.2f \
+           +/- %.2f (R2=%.3f); slope of C/n vs ln n: b=%.3f"
+          d nlogn.Fit.c (1.96 *. nlogn.Fit.se) nlogn.Fit.r_squared lin.Fit.c
+          (1.96 *. lin.Fit.se) lin.Fit.r_squared slope.Fit.slope;
       ]
 
 let paper_constants =
@@ -92,6 +94,8 @@ let fig1 ~pool ~scale ~seed =
       fits @ paper
       @ [
           "expected shape: even d flat (Theta(n)); odd d grows like c*ln n";
+          "+/- is 1.96 standard errors of the fitted constant (a normal \
+           approximation; few sizes, few trials per size)";
         ];
   }
 

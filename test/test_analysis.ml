@@ -79,16 +79,26 @@ let fit_affine_validation () =
 let fit_scale_nlogn () =
   let ns = [| 1000.0; 5000.0; 20000.0; 80000.0 |] in
   let ys = Array.map (fun n -> 0.93 *. n *. log n) ns in
-  let c, r2 = Fit.scale_n_log_n ns ys in
-  closef 1e-9 "recovers paper constant" 0.93 c;
-  closef 1e-9 "perfect fit" 1.0 r2
+  let f = Fit.scale_n_log_n ns ys in
+  closef 1e-9 "recovers paper constant" 0.93 f.Fit.c;
+  closef 1e-9 "perfect fit" 1.0 f.Fit.r_squared;
+  closef 1e-9 "exact data: zero standard error" 0.0 f.Fit.se
 
 let fit_scale_linear () =
   let ns = [| 100.0; 200.0; 400.0 |] in
   let ys = Array.map (fun n -> 1.98 *. n) ns in
-  let c, r2 = Fit.scale_linear ns ys in
-  closef 1e-9 "slope" 1.98 c;
-  closef 1e-9 "r2" 1.0 r2
+  let f = Fit.scale_linear ns ys in
+  closef 1e-9 "slope" 1.98 f.Fit.c;
+  closef 1e-9 "r2" 1.0 f.Fit.r_squared;
+  closef 1e-9 "exact data: zero standard error" 0.0 f.Fit.se
+
+(* By hand: y = c x through (1,2), (2,4), (3,7) gives c = 31/14, residuals
+   -3/14, -6/14, 5/14 (sum of squares 5/14), so
+   se = sqrt (5/14 / 2 / 14) = sqrt (5/392). *)
+let fit_scale_standard_error () =
+  let f = Fit.scale_linear [| 1.0; 2.0; 3.0 |] [| 2.0; 4.0; 7.0 |] in
+  closef 1e-12 "c" (31.0 /. 14.0) f.Fit.c;
+  closef 1e-12 "se" (sqrt (5.0 /. 392.0)) f.Fit.se
 
 let fit_affine_log () =
   let ns = [| 100.0; 1000.0; 10000.0 |] in
@@ -413,6 +423,8 @@ let () =
           Alcotest.test_case "validation" `Quick fit_affine_validation;
           Alcotest.test_case "scale n log n" `Quick fit_scale_nlogn;
           Alcotest.test_case "scale linear" `Quick fit_scale_linear;
+          Alcotest.test_case "scale standard error" `Quick
+            fit_scale_standard_error;
           Alcotest.test_case "affine log x" `Quick fit_affine_log;
           Alcotest.test_case "r squared of" `Quick fit_r_squared_of_model;
         ] );
