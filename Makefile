@@ -10,13 +10,15 @@ build:
 test:
 	dune runtest
 
-# Everything CI gates on: the build, the test suite, dune-file formatting,
-# the bench regression check against the committed baseline, the oracle
-# differential suite, the kernel differential battery, the
+# Everything CI gates on: the build, the test suite, the parallel-
+# determinism gate (the suite again at 1 and 4 domains), dune-file
+# formatting, the bench regression check against the committed baseline,
+# the oracle differential suite, the kernel differential battery, the
 # crash-equivalence matrix, and the live-endpoint and run-store smoke
 # tests.
-ci: build test fmt-check bench-check check-oracle test-kernel test-compact \
-	test-crash test-serve serve-smoke serve-session-smoke runs-smoke
+ci: build test test-par fmt-check bench-check check-oracle test-kernel \
+	test-compact test-crash test-serve serve-smoke serve-session-smoke \
+	runs-smoke
 
 # Crash-equivalence matrix: kill a checkpointed campaign at every trial
 # boundary (at --jobs 1 and 4), resume it, and require bit-identical
@@ -64,10 +66,10 @@ check-oracle:
 	EWALK_JOBS=1 dune exec bin/eproc.exe -- check-oracle
 	EWALK_JOBS=4 dune exec bin/eproc.exe -- check-oracle
 
-# The multi-walker kernel gate: the full differential battery (every
-# kernel process x cooperating/competing x W in {1,4,17} x 3 seeds
-# against the naive oracle) plus the rest of the kernel suite, serially
-# and with 4 domains.  EWALK_KERNEL_FULL widens test_kernel's default
+# The walk-engine gate: the full differential battery (every engine
+# process with a naive oracle x cooperating/competing x W in {1,4,17} x
+# 3 seeds) plus the rest of the kernel suite, serially and with 4
+# domains.  EWALK_KERNEL_FULL widens test_kernel's default
 # quick matrix to the full one.
 test-kernel: build
 	EWALK_KERNEL_FULL=1 EWALK_JOBS=1 dune exec test/test_kernel.exe
