@@ -532,30 +532,26 @@ let generic_process spec g rng =
       Ewalk.Metropolis.process (Ewalk.Metropolis.create g rng ~start)
   | _ -> invalid_arg (Printf.sprintf "unknown process %S" spec)
 
+let unsupported_walkers ~cmd spec =
+  Printf.eprintf "eproc %s: process %S does not support --walkers\n" cmd spec;
+  exit 2
+
 let require_engine_proc ~cmd spec =
   match Engine.proc_of_spec spec with
   | Some p -> p
-  | None ->
-      Printf.eprintf "eproc %s: process %S does not support --walkers\n" cmd
-        spec;
-      exit 2
+  | None -> unsupported_walkers ~cmd spec
 
 (* Build the walk a --process spec names.  An engine process (the
    snapshottable ones, which `trace --checkpoint` can write) comes back
-   with its engine: one walker at vertex 0, or [walkers] cooperating
-   walkers spread from [rng].  Other specs are single-walker generic
-   processes. *)
+   with its cooperating engine ({!Engine.build}).  Other specs are
+   single-walker generic processes. *)
 let make_process ~cmd ~walkers spec g rng =
   match Engine.proc_of_spec spec with
   | Some p ->
-      let e =
-        if walkers > 1 then Engine.create_spread p g rng ~walkers
-        else Engine.single p g rng ~start:0
-      in
+      let e = Engine.build p g rng ~walkers in
       (Some e, engine_process e)
-  | None ->
-      if walkers > 1 then ignore (require_engine_proc ~cmd spec);
-      (None, (generic_process spec g rng, fun (_ : Observe.t) -> ()))
+  | None when walkers > 1 -> unsupported_walkers ~cmd spec
+  | None -> (None, (generic_process spec g rng, fun (_ : Observe.t) -> ()))
 
 let cover_cmd =
   let edges_arg =
@@ -610,7 +606,7 @@ let cover_cmd =
             if compete then begin
               let kp = require_engine_proc ~cmd:"cover" process in
               let eng =
-                Engine.create_spread ~mode:Engine.Competing kp g rng ~walkers
+                Engine.build ~mode:Engine.Competing kp g rng ~walkers
               in
               Option.iter (fun obs -> Observe.attach obs eng) obs;
               let r =
@@ -828,7 +824,7 @@ let trace_cmd =
                       path;
                     exit 2)
             | None ->
-                ( Engine.create_spread ~mode:Engine.Competing kp g rng
+                ( Engine.build ~mode:Engine.Competing kp g rng
                     ~walkers,
                   None )
           in

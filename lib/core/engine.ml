@@ -173,6 +173,11 @@ let create_spread ?mode ?randomize_rotors proc g rng ~walkers =
   let starts = Array.init walkers (fun _ -> Rng.int rng (Graph.n g)) in
   create ?mode ?randomize_rotors proc g rng ~starts
 
+let build ?(mode = Cooperating) proc g rng ~walkers =
+  match mode with
+  | Cooperating when walkers = 1 -> single proc g rng ~start:0
+  | _ -> create_spread ~mode proc g rng ~walkers
+
 (* --- accessors ------------------------------------------------------- *)
 
 let graph t = t.g
@@ -451,14 +456,6 @@ let run_to_vertex_cover ?cap t =
     step t
   done;
   Coverage.vertex_cover_step cov
-
-let run_to_edge_cover ?cap t =
-  let cov = coverage t in
-  let cap = match cap with Some c -> c | None -> Cover.default_cap t.g in
-  while (not (Coverage.all_edges_visited cov)) && t.gsteps < cap do
-    step t
-  done;
-  Coverage.edge_cover_step cov
 
 let no_observer t =
   match (t.observer, t.phase_observer) with None, None -> true | _ -> false

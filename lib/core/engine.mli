@@ -100,6 +100,12 @@ val create_spread :
 (** Like {!create} with [walkers] uniform start vertices drawn from [rng]
     (advancing it — the lanes then derive from the advanced state). *)
 
+val build : ?mode:mode -> proc -> Graph.t -> Ewalk_prng.Rng.t -> walkers:int -> t
+(** The walk the command line and the session service build from a
+    process spec: one cooperating walker starts at vertex 0 and draws from
+    [rng] itself ({!single}); otherwise [walkers] walkers start spread
+    from [rng] ({!create_spread}).  [mode] defaults to [Cooperating]. *)
+
 (** {1 Stepping} *)
 
 val step : t -> unit
@@ -118,9 +124,6 @@ val run_to_vertex_cover : ?cap:int -> t -> int option
 (** Cooperating mode: step until every vertex is visited (or the clock
     reaches [cap], default {!Cover.default_cap}); the cover step if
     reached.  @raise Invalid_argument in competing mode. *)
-
-val run_to_edge_cover : ?cap:int -> t -> int option
-(** Likewise for every edge. *)
 
 val run_rounds : ?pool:Ewalk_par.Pool.t -> t -> int -> unit
 (** [run_rounds ?pool t r] advances every walker [r] steps.  In competing

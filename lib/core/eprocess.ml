@@ -48,7 +48,6 @@ let in_blue_phase t = blue_degree t (position t) > 0
 let step = Engine.step
 let run_steps = Engine.run_steps
 let run_to_vertex_cover = Engine.run_to_vertex_cover
-let run_to_edge_cover = Engine.run_to_edge_cover
 let process = Engine.process
 
 (* Each [Phase] event opens a phase at its stamp and vertex, and so closes

@@ -55,8 +55,6 @@ val create : ?rule:rule -> Graph.t -> Ewalk_prng.Rng.t -> start:Graph.vertex -> 
     @raise Invalid_argument if [start] is out of range or [g] has no
     vertices. *)
 
-val proc_of_rule : rule -> Engine.proc
-
 val graph : t -> Graph.t
 val position : t -> Graph.vertex
 val steps : t -> int
@@ -94,8 +92,6 @@ val run_steps : t -> int -> unit
 val run_to_vertex_cover : ?cap:int -> t -> int option
 (** Step until every vertex is visited (or [cap] steps, default
     {!Cover.default_cap}); returns the cover step if reached. *)
-
-val run_to_edge_cover : ?cap:int -> t -> int option
 
 val phase_log : t -> unit -> phase list
 (** [phase_log t] starts a phase recorder on [t]'s phase observer

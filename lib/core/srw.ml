@@ -15,5 +15,4 @@ let steps = Engine.steps
 let coverage = Engine.coverage
 let step = Engine.step
 let run_steps = Engine.run_steps
-let run_to_vertex_cover = Engine.run_to_vertex_cover
 let process = Engine.process

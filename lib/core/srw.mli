@@ -31,8 +31,4 @@ val step : t -> unit
 val run_steps : t -> int -> unit
 (** [run_steps t k]: [k] transitions in a tight loop. *)
 
-val run_to_vertex_cover : ?cap:int -> t -> int option
-(** Step until every vertex is visited (or [cap] steps, default
-    {!Cover.default_cap}); returns the cover step if reached. *)
-
 val process : t -> Cover.process

@@ -25,10 +25,6 @@ let of_engine e =
     | Engine.Srw | Engine.Lazy_srw -> Srw e
     | Engine.Rotor -> Rotor e
 
-let kind_name w = Engine.name (engine w)
-let walk_steps w = Engine.steps (engine w)
-let walk_position w = Engine.position (engine w)
-
 type error = Io of string | Corrupt of string | Mismatch of string
 
 let error_to_string = function

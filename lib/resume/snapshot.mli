@@ -72,12 +72,6 @@ val engine : walk -> Ewalk.Engine.t
 val of_engine : Ewalk.Engine.t -> walk
 (** The constructor {!read} returns the engine under. *)
 
-val kind_name : walk -> string
-(** The process name, e.g. ["e-process(uar)"], ["lazy-srw"]. *)
-
-val walk_steps : walk -> int
-val walk_position : walk -> int
-
 type error =
   | Io of string  (** file unreadable / unwritable *)
   | Corrupt of string  (** torn, truncated, tampered or non-JSON file *)

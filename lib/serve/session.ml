@@ -40,21 +40,19 @@ let meta_path t = Filename.concat t.dir "session.json"
 
 (* -- walk construction ----------------------------------------------------- *)
 
-(* Mirrors eproc's walk construction: one walker starts at vertex 0,
-   several spread from the rng, which is already advanced past the graph
-   build.  Proto validated the spec, so the [None] branch is unreachable
-   for accepted configs. *)
+(* The walk eproc builds for the same spec, from the rng already advanced
+   past the graph build.  Proto validated the spec, so the [None] branch
+   is unreachable for accepted configs. *)
 let build_walk (c : Proto.config) g rng =
   match Engine.proc_of_spec c.process with
   | None -> Error (Proto.err 400 "unknown_process" c.process)
   | Some proc ->
-      Ok
-        (match (c.walkers, c.mode) with
-        | 1, Proto.Cooperating -> Engine.single proc g rng ~start:0
-        | walkers, Proto.Cooperating ->
-            Engine.create_spread proc g rng ~walkers
-        | walkers, Proto.Competing ->
-            Engine.create_spread ~mode:Engine.Competing proc g rng ~walkers)
+      let mode =
+        match c.mode with
+        | Proto.Cooperating -> Engine.Cooperating
+        | Proto.Competing -> Engine.Competing
+      in
+      Ok (Engine.build ~mode proc g rng ~walkers:c.walkers)
 
 let competing e = Engine.mode e = Engine.Competing
 
