@@ -61,11 +61,15 @@ let phase_log t =
          | Ewalk_obs.Trace.Phase { step; kind; vertex } ->
              (match !current with
              | Some (kind, start_step, start_vertex) ->
-                 completed :=
-                   { kind; start_step; start_vertex; end_step = step; end_vertex = vertex }
-                   :: !completed
+                 let phase =
+                   { kind; start_step; start_vertex; end_step = step;
+                     end_vertex = vertex }
+                 in
+                 completed := phase :: !completed
              | None -> ());
-             let kind = match kind with Ewalk_obs.Trace.Blue -> Blue | Ewalk_obs.Trace.Red -> Red in
+             let kind =
+               match kind with Ewalk_obs.Trace.Blue -> Blue | Red -> Red
+             in
              current := Some (kind, step, vertex)
          | _ -> ()));
   fun () -> List.rev !completed
