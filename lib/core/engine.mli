@@ -36,11 +36,11 @@ type proc =
   | E_lowest  (** E-process, first unvisited edge in adjacency order *)
   | E_highest  (** E-process, last unvisited edge in adjacency order *)
   | E_adversarial of (t -> Graph.edge array -> int)
-      (** E-process under an online adversary: it sees the engine (whose
-          {!position} is the stepping walker's vertex) and that walker's
-          unvisited incident edges in adjacency order, a self-loop listed
-          once, and returns the index of its choice; an out-of-range
-          answer is clamped.  A closure: such engines cannot be
+      (** E-process under an online adversary: it sees the engine
+          (during {!step}, {!position} is the stepping walker's vertex) and
+          that walker's unvisited incident edges in adjacency order, a
+          self-loop listed once, and returns the index of its choice; an
+          out-of-range answer is clamped.  A closure: such engines cannot be
           checkpointed.  Compare procs by pattern matching, never with
           [=]. *)
   | Srw  (** simple random walk *)
