@@ -184,9 +184,35 @@ let trajectories_pinned () =
   Alcotest.(check int) "pinned run count" (List.length pinned) (List.length actual);
   List.iter2 (fun p a -> Alcotest.(check string) "pinned run" p a) pinned actual
 
+(* Every experiment's table at tiny scale, under the command line's
+   default seed and without a pool, as one text: a [# id] line, then the
+   table's CSV.  Pinned in golden/experiments-tiny.txt. *)
+let experiment_tables () =
+  String.concat ""
+    (List.map
+       (fun e ->
+         let table =
+           e.Ewalk_expt.Experiments.run ~pool:None ~scale:Ewalk_expt.Sweep.Tiny
+             ~seed:1
+         in
+         Printf.sprintf "# %s\n%s" e.Ewalk_expt.Experiments.id
+           (Ewalk_expt.Table.to_csv table))
+       Ewalk_expt.Experiments.all)
+
+let experiment_tables_pinned () =
+  let actual = experiment_tables () in
+  let pinned =
+    In_channel.with_open_text "golden/experiments-tiny.txt" In_channel.input_all
+  in
+  (* Print the tables this build computes, for a deliberate re-pin. *)
+  if actual <> pinned then prerr_string actual;
+  Alcotest.(check string) "pinned tables" pinned actual
+
 let () =
   Alcotest.run "golden"
     [
       ( "trajectories",
         [ Alcotest.test_case "pinned at every run" `Quick trajectories_pinned ] );
+      ( "experiments",
+        [ Alcotest.test_case "tiny tables pinned" `Quick experiment_tables_pinned ] );
     ]
