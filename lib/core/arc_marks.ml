@@ -84,7 +84,7 @@ let incident_edges t v =
     if not (marked t p) then begin
       let e = Graph.slot_edge t.g p in
       (* A self-loop owns two slots of [v]'s region: list it at its first. *)
-      if Graph.slot_vertex t.g p <> v || fst (Graph.edge_positions t.g e) = p
+      if Graph.slot_vertex t.g p <> v || Graph.edge_slot t.g e 0 = p
       then out := e :: !out
     end
   done;
@@ -100,11 +100,14 @@ let slot_of_edge t v e =
   go (Graph.adj_start t.g v)
 
 let retire_edge t e =
-  let p1, p2 = Graph.edge_positions t.g e in
-  set_mark t p1;
-  set_mark t p2
+  set_mark t (Graph.edge_slot t.g e 0);
+  set_mark t (Graph.edge_slot t.g e 1)
 
-let edge_retired t e = marked t (fst (Graph.edge_positions t.g e))
+let slot_retired t p =
+  if p < 0 || p >= 2 * Graph.m t.g then invalid_arg "Arc_marks: slot out of range";
+  marked t p
+
+let edge_retired t e = marked t (Graph.edge_slot t.g e 0)
 
 let of_visited g visited =
   let t = create g in

@@ -4,7 +4,7 @@
     One bit per arc slot of the graph's CSR adjacency, so vertex [v]'s
     marks are the contiguous bits [adj_start v .. adj_stop v - 1].  A set
     bit is a visited arc; retiring an edge sets both of its slot bits
-    ({!Ewalk_graph.Graph.edge_positions}).  A region's live (clear) slots
+    ({!Ewalk_graph.Graph.edge_slot}).  A region's live (clear) slots
     are counted with one masked-word popcount and enumerated in adjacency
     order, so the [k]-th live slot is the candidate the naive reference
     walks index with the same draw.  Regions wider than one word (degree
@@ -54,6 +54,11 @@ val retire_edge : t -> Graph.edge -> unit
 (** Mark both arcs of the edge visited (idempotent). *)
 
 val edge_retired : t -> Graph.edge -> bool
+
+val slot_retired : t -> int -> bool
+(** Whether the arc at a slot position is retired: the same answer as
+    {!edge_retired} of the slot's edge, read at the slot itself.
+    @raise Invalid_argument when the slot is out of range. *)
 
 val of_coverage : Graph.t -> Coverage.t -> t
 (** Marks with exactly the edges the coverage table has seen retired.  An

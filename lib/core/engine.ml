@@ -48,7 +48,12 @@ and t = {
   wsteps : int array;
   wblue : int array;
   wred : int array;
-  phase : (phase_kind * int * Graph.vertex) option array;
+  (* Each walker's open phase, as plain ints so that opening one allocates
+     nothing: its kind (-1 before the first step, else [phase_code]), the
+     pre-step clock and the vertex it opened at. *)
+  phase_kind : int array;
+  phase_stamp : int array;
+  phase_vertex : int array;
   mutable observer : (walker:int -> Trace.event -> unit) option;
   mutable phase_observer : (walker:int -> Trace.event -> unit) option;
   mutable fault : fault option;
@@ -73,6 +78,9 @@ let specs =
   ]
 
 let proc_of_spec spec = List.assoc_opt spec specs
+
+let no_phase = -1
+let phase_code = function Blue -> 0 | Red -> 1
 
 (* Raw LSB-first bit ops over a bitset's backing bytes — the step-path
    view of the per-walker vertex {!Bitset}s (same layout, no bounds
@@ -144,7 +152,9 @@ let make ~mode ~randomize_rotors proc g ~lanes ~starts =
     wsteps = Array.make walkers 0;
     wblue = Array.make walkers 0;
     wred = Array.make walkers 0;
-    phase = Array.make walkers None;
+    phase_kind = Array.make walkers no_phase;
+    phase_stamp = Array.make walkers 0;
+    phase_vertex = Array.make walkers 0;
     observer = None;
     phase_observer = None;
     fault = None;
@@ -272,15 +282,11 @@ let emit_phase_ev t w ev =
    cooperating mode, walker-local in competing mode) and the pre-move
    vertex. *)
 let record_phase_transition t w ~stamp ~vertex next_is_blue =
-  let changed =
-    match t.phase.(w) with
-    | None -> true
-    | Some (Blue, _, _) -> not next_is_blue
-    | Some (Red, _, _) -> next_is_blue
-  in
-  if changed then begin
-    let kind = if next_is_blue then Blue else Red in
-    t.phase.(w) <- Some (kind, stamp, vertex);
+  let kind = phase_code (if next_is_blue then Blue else Red) in
+  if t.phase_kind.(w) <> kind then begin
+    t.phase_kind.(w) <- kind;
+    t.phase_stamp.(w) <- stamp;
+    t.phase_vertex.(w) <- vertex;
     match (t.observer, t.phase_observer) with
     | None, None -> ()
     | _ ->
@@ -411,7 +417,8 @@ let step_private t pv w =
   else begin
     let e = Graph.slot_edge t.g slot in
     let target = Graph.slot_vertex t.g slot in
-    if not (Arc_marks.edge_retired marks e) then begin
+    (* The slot the walker leaves by carries the edge's retired bit. *)
+    if not (Arc_marks.slot_retired marks slot) then begin
       Arc_marks.retire_edge marks e;
       pv.pv_ecount.(w) <- pv.pv_ecount.(w) + 1
     end;
@@ -546,6 +553,19 @@ let process t =
 
 (* --- checkpointing (cooperating mode) -------------------------------- *)
 
+(* The open phases in their plain-data form, and back. *)
+let save_phases t =
+  Array.init (Array.length t.pos) (fun w ->
+      if t.phase_kind.(w) = no_phase then None
+      else
+        Some
+          ( (if t.phase_kind.(w) = phase_code Blue then Blue else Red),
+            t.phase_stamp.(w),
+            t.phase_vertex.(w) ))
+
+let phase_field f default phases =
+  Array.map (function None -> default | Some p -> f p) phases
+
 (* The lanes' state words, walker-major: walker w's are words 4w..4w+3. *)
 let save_lanes t = Array.concat (Array.to_list (Array.map Rng.save t.lanes))
 
@@ -625,7 +645,7 @@ let checkpoint t =
         ck_prng = save_lanes t;
         ck_coverage = Coverage.save sh.sh_coverage;
         ck_rotor = Option.map Array.copy sh.sh_rotor;
-        ck_phase = Array.copy t.phase;
+        ck_phase = save_phases t;
       }
 
 let of_checkpoint g ck =
@@ -668,7 +688,9 @@ let of_checkpoint g ck =
     wsteps = Array.copy ck.ck_wsteps;
     wblue = Array.copy ck.ck_wblue;
     wred = Array.copy ck.ck_wred;
-    phase = Array.copy ck.ck_phase;
+    phase_kind = phase_field (fun (k, _, _) -> phase_code k) no_phase ck.ck_phase;
+    phase_stamp = phase_field (fun (_, s, _) -> s) 0 ck.ck_phase;
+    phase_vertex = phase_field (fun (_, _, v) -> v) 0 ck.ck_phase;
     observer = None;
     phase_observer = None;
     fault = None;
@@ -714,7 +736,7 @@ let checkpoint_competing t =
         cc_ecount = Array.copy pv.pv_ecount;
         cc_cover_at = Array.copy pv.pv_cover_at;
         cc_rotor = Option.map Array.copy pv.pv_rotor;
-        cc_phase = Array.copy t.phase;
+        cc_phase = save_phases t;
       }
 
 (* Restore never trusts the serialized visit counters: each walker's
@@ -788,7 +810,9 @@ let of_checkpoint_competing g ck =
     wsteps = Array.copy ck.cc_wsteps;
     wblue = Array.copy ck.cc_wblue;
     wred = Array.copy ck.cc_wred;
-    phase = Array.copy ck.cc_phase;
+    phase_kind = phase_field (fun (k, _, _) -> phase_code k) no_phase ck.cc_phase;
+    phase_stamp = phase_field (fun (_, s, _) -> s) 0 ck.cc_phase;
+    phase_vertex = phase_field (fun (_, _, v) -> v) 0 ck.cc_phase;
     observer = None;
     phase_observer = None;
     fault = None;

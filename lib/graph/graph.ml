@@ -100,7 +100,7 @@ let adj_start g v = g.xadj.(v)
 let adj_stop g v = g.xadj.(v + 1)
 let slot_vertex g p = g.adj_vertex.(p)
 let slot_edge g p = g.adj_edge.(p)
-let edge_positions g e = (g.edge_pos.(2 * e), g.edge_pos.((2 * e) + 1))
+let edge_slot g e i = g.edge_pos.((2 * e) + i)
 
 let neighbor g v i = g.adj_vertex.(g.xadj.(v) + i)
 let neighbor_edge g v i = g.adj_edge.(g.xadj.(v) + i)

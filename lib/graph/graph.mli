@@ -5,8 +5,8 @@
     endpoint; a self-loop owns two slots at the same vertex and contributes 2
     to its degree, the standard convention).  Every walk process in
     [Ewalk] is driven off this structure; the E-process additionally needs
-    the {e slot positions} of each edge ({!edge_positions}) to mark both
-    arcs of an edge visited in O(1).
+    the {e slot positions} of each edge ({!edge_slot}) to mark both arcs of
+    an edge visited in O(1).
 
     Vertices are [0 .. n-1]; edges are [0 .. m-1] in insertion order. *)
 
@@ -64,9 +64,10 @@ val slot_vertex : t -> int -> vertex
 val slot_edge : t -> int -> edge
 (** [slot_edge g p] is the edge id stored in slot [p]. *)
 
-val edge_positions : t -> edge -> int * int
-(** The two adjacency slot positions owned by an edge.  The first lies in
-    the adjacency of the first endpoint. *)
+val edge_slot : t -> edge -> int -> int
+(** [edge_slot g e i], [i] 0 or 1: the adjacency slot position of the
+    edge's [i]-th arc.  Arc 0 lies in the adjacency of the first
+    endpoint. *)
 
 val neighbor : t -> vertex -> int -> vertex
 (** [neighbor g v i] is the [i]-th neighbour of [v], [0 <= i < degree g v]. *)

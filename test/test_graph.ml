@@ -59,7 +59,7 @@ let graph_slots_consistent () =
   (* Every edge's two slots carry the right neighbour and edge id. *)
   for e = 0 to Graph.m g - 1 do
     let u, v = Graph.endpoints g e in
-    let p1, p2 = Graph.edge_positions g e in
+    let p1 = Graph.edge_slot g e 0 and p2 = Graph.edge_slot g e 1 in
     Alcotest.(check int) "slot1 edge" e (Graph.slot_edge g p1);
     Alcotest.(check int) "slot2 edge" e (Graph.slot_edge g p2);
     Alcotest.(check int) "slot1 neighbour" v (Graph.slot_vertex g p1);
@@ -334,8 +334,8 @@ let prop_csr_wellformed =
       (* Each edge's positions map back to it. *)
       && List.for_all
            (fun e ->
-             let p1, p2 = Graph.edge_positions g e in
-             Graph.slot_edge g p1 = e && Graph.slot_edge g p2 = e)
+             Graph.slot_edge g (Graph.edge_slot g e 0) = e
+             && Graph.slot_edge g (Graph.edge_slot g e 1) = e)
            (List.init m (fun e -> e))
       (* Slot neighbours agree with endpoints. *)
       && List.for_all

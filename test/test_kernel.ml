@@ -726,6 +726,52 @@ let competing_first_cover () =
         | None -> ()
       done
 
+(* -- allocation ----------------------------------------------------------- *)
+
+(* An unobserved step allocates nothing, for every checkpointable process
+   as a one-walker walk, a cooperating team and a competing team, over a
+   blue-then-red run on an n = 10^4 4-regular graph.  The warm-up moves
+   each walk off its start; the empty measurement cancels whatever the
+   probe itself costs. *)
+let unobserved_steps_allocate_nothing () =
+  let g =
+    Gen_regular.random_regular_connected (Rng.create ~seed:77 ()) 10_000 4
+  in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let probe = minor_words ignore in
+  let procs =
+    Engine.[ E_uar; E_lowest; E_highest; Srw; Lazy_srw; Rotor ]
+  in
+  let shapes =
+    [
+      ("W=1", fun p -> Engine.single p g (Rng.create ~seed:5 ()) ~start:0);
+      ( "cooperating W=4",
+        fun p -> Engine.create_spread p g (Rng.create ~seed:5 ()) ~walkers:4 );
+      ( "competing W=4",
+        fun p ->
+          Engine.create_spread ~mode:Engine.Competing p g
+            (Rng.create ~seed:5 ()) ~walkers:4 );
+    ]
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (shape, make) ->
+          let eng = make p in
+          Engine.run_steps eng 100;
+          let words =
+            minor_words (fun () -> Engine.run_steps eng 30_000) -. probe
+          in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s %s minor words" (Engine.proc_name p) shape)
+            0. words)
+        shapes)
+    procs
+
 let () =
   Alcotest.run "kernel"
     [
@@ -798,4 +844,9 @@ let () =
         [ Alcotest.test_case "create/mode guards" `Quick create_validation ] );
       ( "competing",
         [ Alcotest.test_case "first cover" `Quick competing_first_cover ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "unobserved steps allocate nothing" `Quick
+            unobserved_steps_allocate_nothing;
+        ] );
     ]
