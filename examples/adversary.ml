@@ -12,9 +12,11 @@ module Graph = Ewalk_graph.Graph
 module Rng = Ewalk_prng.Rng
 module Eprocess = Ewalk.Eprocess
 
-(* Adversary 1: re-enter explored territory whenever possible. *)
-let stay_explored t candidates =
-  Ewalk_expt.Exp_util.adversary_stay_explored t candidates
+(* Adversary 1: re-enter explored territory whenever possible, reading
+   how often the walk has stood on each vertex from an occupancy recorder
+   attached to it. *)
+let stay_explored visits t candidates =
+  Ewalk_expt.Exp_util.adversary_stay_explored visits t candidates
 
 (* Adversary 2: end blue phases as fast as possible (head for low blue
    degree). *)
@@ -36,10 +38,12 @@ let homebody dist t candidates =
     candidates;
   !best
 
-let run name g rule =
+let run ?visits name g rule =
   let rng = Rng.create ~seed:31 () in
   let t = Eprocess.create ~rule g rng ~start:0 in
-  match Ewalk.Cover.run_until_vertex_cover (Eprocess.process t) with
+  let p = Eprocess.process t in
+  let p = match visits with Some v -> Ewalk.Visits.attach v p | None -> p in
+  match Ewalk.Cover.run_until_vertex_cover p with
   | Some steps ->
       Printf.printf "%-28s covered in %8d steps  (%.2f n)\n" name steps
         (float_of_int steps /. float_of_int (Graph.n g))
@@ -54,7 +58,9 @@ let () =
   run "uniform (greedy random walk)" g Eprocess.Uar;
   run "deterministic lowest-slot" g Eprocess.Lowest_slot;
   run "deterministic highest-slot" g Eprocess.Highest_slot;
-  run "adversary: stay explored" g (Eprocess.Adversarial stay_explored);
+  let visits = Ewalk.Visits.create g in
+  run ~visits "adversary: stay explored" g
+    (Eprocess.Adversarial (stay_explored visits));
   run "adversary: kill blue phases" g (Eprocess.Adversarial kill_blue);
   let dist = Ewalk_graph.Traversal.bfs_distances g 0 in
   run "adversary: hug the start" g (Eprocess.Adversarial (homebody dist));

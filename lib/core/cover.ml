@@ -71,34 +71,6 @@ let run_until_edge_cover ?cap p =
       | Some t -> t
       | None -> assert false)
 
-let run_until_min_visits ?(cap = max_int) ~k p =
-  if k < 0 then invalid_arg "Cover.run_until_min_visits: k < 0";
-  (* Scanning the visit counts costs O(n); amortise it by only checking
-     after the cheap necessary condition (full vertex coverage) holds, and
-     then at most every [n] steps. *)
-  let n = Graph.n p.graph in
-  let satisfied () =
-    Coverage.all_vertices_visited p.coverage
-    && Coverage.min_visit_count p.coverage >= k
-  in
-  flight_run_start p;
-  let gave_up = ref false in
-  let done_ = ref (satisfied ()) in
-  while (not !done_) && not !gave_up do
-    if p.steps_done () >= cap then gave_up := true
-    else begin
-      let burst = max 1 (n / 4) in
-      let i = ref 0 in
-      while !i < burst && p.steps_done () < cap do
-        p.step ();
-        incr i
-      done;
-      done_ := satisfied ()
-    end
-  done;
-  flight_run_end p;
-  if !done_ then Some (p.steps_done ()) else None
-
 let run_steps p k =
   for _ = 1 to k do
     p.step ()

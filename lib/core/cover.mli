@@ -34,13 +34,12 @@ val run_until_vertex_cover : ?cap:int -> process -> int option
 val run_until_edge_cover : ?cap:int -> process -> int option
 (** Same for edge coverage. *)
 
-val run_until_min_visits : ?cap:int -> k:int -> process -> int option
-(** Step until every vertex has been visited at least [k] times (the
-    quantity behind the blanket-time discussion around eq. (4)).  The
-    condition is only re-checked every [n/4] transitions (a full check costs
-    O(n)), so the returned step count may overshoot the exact threshold by
-    up to [n/4] — negligible against the [Omega(n log n)] scale of the
-    quantity itself. *)
+val run_until :
+  ?cap:int -> process -> finished:(unit -> bool) -> result:(unit -> int) ->
+  int option
+(** The runner under the two above: step until [finished ()] holds —
+    checked before every transition — and return [Some (result ())], or
+    [None] once [cap] transitions (default [max_int]) elapsed first. *)
 
 val run_steps : process -> int -> unit
 (** Perform exactly the given number of transitions. *)

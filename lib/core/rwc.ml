@@ -7,6 +7,7 @@ type t = {
   d : int;
   mutable pos : Graph.vertex;
   mutable steps : int;
+  visits : int array; (* occupancy per vertex, the start counted once *)
   coverage : Coverage.t;
 }
 
@@ -16,7 +17,9 @@ let create ?(d = 2) g rng ~start =
     invalid_arg "Rwc.create: start out of range";
   let coverage = Coverage.create g in
   Coverage.record_start coverage start;
-  { g; rng; d; pos = start; steps = 0; coverage }
+  let visits = Array.make (Graph.n g) 0 in
+  visits.(start) <- 1;
+  { g; rng; d; pos = start; steps = 0; visits; coverage }
 
 let graph t = t.g
 let position t = t.pos
@@ -31,13 +34,11 @@ let step t =
   (* Sample d slots with replacement; keep the least-visited endpoint,
      breaking ties uniformly via reservoir counting. *)
   let best_slot = ref (base + Rng.int t.rng deg) in
-  let best_count =
-    ref (Coverage.visit_count t.coverage (Graph.slot_vertex t.g !best_slot))
-  in
+  let best_count = ref t.visits.(Graph.slot_vertex t.g !best_slot) in
   let ties = ref 1 in
   for _ = 2 to t.d do
     let slot = base + Rng.int t.rng deg in
-    let c = Coverage.visit_count t.coverage (Graph.slot_vertex t.g slot) in
+    let c = t.visits.(Graph.slot_vertex t.g slot) in
     if c < !best_count then begin
       best_slot := slot;
       best_count := c;
@@ -53,6 +54,7 @@ let step t =
   t.steps <- t.steps + 1;
   Coverage.record_edge t.coverage ~step:t.steps e;
   t.pos <- w;
+  t.visits.(w) <- t.visits.(w) + 1;
   Coverage.record_move t.coverage ~step:t.steps w
 
 let process t =

@@ -174,18 +174,26 @@ let rule_independence ~pool ~scale ~seed =
     | a :: b :: c :: _ -> [ a; b; c ]
     | sizes -> sizes
   in
+  (* Each rule for a trial's graph, with the occupancy recorder it reads,
+     if any. *)
+  let fixed rule _ = (rule, None) in
   let rules =
     [
-      ("uar", Eprocess.Uar);
-      ("lowest-slot", Eprocess.Lowest_slot);
-      ("highest-slot", Eprocess.Highest_slot);
-      ("adversary:stay-explored", Eprocess.Adversarial Exp_util.adversary_stay_explored);
-      ("adversary:min-blue", Eprocess.Adversarial Exp_util.adversary_min_blue);
+      ("uar", fixed Eprocess.Uar);
+      ("lowest-slot", fixed Eprocess.Lowest_slot);
+      ("highest-slot", fixed Eprocess.Highest_slot);
+      ( "adversary:stay-explored",
+        fun g ->
+          let visits = Ewalk.Visits.create g in
+          ( Eprocess.Adversarial (Exp_util.adversary_stay_explored visits),
+            Some visits ) );
+      ( "adversary:min-blue",
+        fixed (Eprocess.Adversarial Exp_util.adversary_min_blue) );
     ]
   in
   let rows =
     List.concat_map
-      (fun (name, rule) ->
+      (fun (name, rule_for) ->
         List.filter_map
           (fun n ->
             match
@@ -193,7 +201,8 @@ let rule_independence ~pool ~scale ~seed =
                 ~tag:(Hashtbl.hash name land 0xff) ~n
                 (fun rng ->
                   let g = Exp_util.regular_graph rng ~n ~d:4 in
-                  Exp_util.vertex_cover_eprocess ~rule rng g)
+                  let rule, visits = rule_for g in
+                  Exp_util.vertex_cover_eprocess ~rule ?visits rng g)
             with
             | None -> None
             | Some s ->
@@ -412,7 +421,8 @@ let blanket_r_visits ~pool ~scale ~seed =
             ~trials:(Sweep.trials scale) (fun rng ->
               let g = Exp_util.regular_graph rng ~n ~d in
               let walk = Ewalk.Srw.create g rng ~start:0 in
-              let p = Ewalk.Srw.process walk in
+              let visits = Ewalk.Visits.create g in
+              let p = Ewalk.Visits.attach visits (Ewalk.Srw.process walk) in
               let cover =
                 match Cover.run_until_vertex_cover ~cap:(Cover.default_cap g) p with
                 | Some t -> fl t
@@ -420,7 +430,8 @@ let blanket_r_visits ~pool ~scale ~seed =
               in
               let t_r =
                 match
-                  Cover.run_until_min_visits ~cap:(Cover.default_cap g) ~k:d p
+                  Ewalk.Visits.run_until_min_visits ~cap:(Cover.default_cap g)
+                    ~k:d visits p
                 with
                 | Some t -> fl t
                 | None -> Float.nan

@@ -265,7 +265,8 @@ let blue_invariants ~pool:_ ~scale ~seed =
 let star_trial rng ~n ~d =
   let g = Exp_util.regular_graph rng ~n ~d in
   let t = Eprocess.create g rng ~start:0 in
-  let p = Eprocess.process t in
+  let visits = Ewalk.Visits.create g in
+  let p = Ewalk.Visits.attach visits (Eprocess.process t) in
   let cov = Eprocess.coverage t in
   let ever = Hashtbl.create 256 in
   let max_simul = ref 0 in
@@ -294,13 +295,12 @@ let star_trial rng ~n ~d =
   done;
   let surrounded = ref 0 in
   for v = 0 to n - 1 do
-    let fv = Coverage.first_visit cov v in
+    let fv = Ewalk.Visits.first_visit visits v in
     let all_before =
       Graph.fold_neighbors g v
         (fun acc w _ ->
-          acc
-          && Coverage.first_visit cov w >= 0
-          && Coverage.first_visit cov w < fv)
+          let fw = Ewalk.Visits.first_visit visits w in
+          acc && fw >= 0 && fw < fv)
         true
     in
     if fv > 0 && all_before then incr surrounded

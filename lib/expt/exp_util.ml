@@ -2,7 +2,7 @@ open Ewalk_graph
 module Eprocess = Ewalk.Eprocess
 module Srw = Ewalk.Srw
 module Cover = Ewalk.Cover
-module Coverage = Ewalk.Coverage
+module Visits = Ewalk.Visits
 
 module Observe = Ewalk.Observe
 
@@ -26,10 +26,12 @@ let run_observed ?obs ~edges ~cap p =
       Observe.finish obs p;
       r
 
-let vertex_cover_eprocess ?rule ?cap ?obs rng g =
+let vertex_cover_eprocess ?rule ?visits ?cap ?obs rng g =
   let t = Eprocess.create ?rule g rng ~start:0 in
   Option.iter (fun o -> Observe.attach o t) obs;
-  run_observed ?obs ~edges:false ~cap:(with_cap cap g) (Eprocess.process t)
+  let p = Eprocess.process t in
+  let p = match visits with Some v -> Visits.attach v p | None -> p in
+  run_observed ?obs ~edges:false ~cap:(with_cap cap g) p
 
 let edge_cover_eprocess ?rule ?cap ?obs rng g =
   let t = Eprocess.create ?rule g rng ~start:0 in
@@ -46,15 +48,14 @@ let edge_cover_srw ?cap ?obs rng g =
   Option.iter (fun o -> Observe.attach o t) obs;
   run_observed ?obs ~edges:true ~cap:(with_cap cap g) (Srw.process t)
 
-let adversary_stay_explored t candidates =
+let adversary_stay_explored visits t candidates =
   let g = Eprocess.graph t in
-  let cov = Eprocess.coverage t in
   let here = Eprocess.position t in
   let best = ref 0 and best_visits = ref min_int in
   Array.iteri
     (fun i e ->
       let w = Graph.opposite g e here in
-      let visits = Coverage.visit_count cov w in
+      let visits = Visits.visit_count visits w in
       if visits > !best_visits then begin
         best := i;
         best_visits := visits

@@ -37,17 +37,36 @@ let coverage_basics () =
   Alcotest.(check (option int)) "edge cover step" (Some 3)
     (Coverage.edge_cover_step c)
 
+(* A walk on [g] scripted to stand on [path]'s vertices in turn. *)
+let scripted g path =
+  let pos = ref (List.hd path) and rest = ref (List.tl path) and k = ref 0 in
+  {
+    Cover.name = "scripted";
+    graph = g;
+    position = (fun () -> !pos);
+    step =
+      (fun () ->
+        pos := List.hd !rest;
+        rest := List.tl !rest;
+        incr k);
+    steps_done = (fun () -> !k);
+    coverage = Coverage.create g;
+  }
+
 let coverage_visit_counts () =
   let g = Gen_classic.path 3 in
-  let c = Coverage.create g in
-  Coverage.record_start c 0;
-  Coverage.record_move c ~step:1 1;
-  Coverage.record_move c ~step:2 0;
-  Alcotest.(check int) "vertex 0 twice" 2 (Coverage.visit_count c 0);
-  Alcotest.(check int) "vertex 1 once" 1 (Coverage.visit_count c 1);
+  let visits = Ewalk.Visits.create g in
+  let p = Ewalk.Visits.attach visits (scripted g [ 0; 1; 0; 0 ]) in
+  Cover.run_steps p 3;
+  Alcotest.(check int) "vertex 0 three times (a stay counts)" 3
+    (Ewalk.Visits.visit_count visits 0);
+  Alcotest.(check int) "vertex 1 once" 1 (Ewalk.Visits.visit_count visits 1);
+  Alcotest.(check int) "first visits" 1 (Ewalk.Visits.first_visit visits 1);
+  Alcotest.(check int) "start first visited at 0" 0
+    (Ewalk.Visits.first_visit visits 0);
+  Alcotest.(check int) "vertex 2 unseen" (-1) (Ewalk.Visits.first_visit visits 2);
   Alcotest.(check int) "min count 0 (vertex 2 unseen)" 0
-    (Coverage.min_visit_count c);
-  Alcotest.(check (list int)) "unvisited" [ 2 ] (Coverage.unvisited_vertices c)
+    (Ewalk.Visits.min_visit_count visits)
 
 let coverage_edge_traversals () =
   let g = Gen_classic.path 3 in
@@ -376,15 +395,15 @@ let cover_min_visits () =
   let g = Gen_classic.complete 6 in
   let rng = Rng.create ~seed:15 () in
   let t = Ewalk.Srw.create g rng ~start:0 in
-  let p = Ewalk.Srw.process t in
-  match Cover.run_until_min_visits ~cap:1_000_000 ~k:3 p with
+  let visits = Ewalk.Visits.create g in
+  let p = Ewalk.Visits.attach visits (Ewalk.Srw.process t) in
+  match Ewalk.Visits.run_until_min_visits ~cap:1_000_000 ~k:3 visits p with
   | None -> Alcotest.fail "min visits should be reachable"
   | Some steps ->
       Alcotest.(check bool) "positive" true (steps > 0);
-      let c = Ewalk.Srw.coverage t in
       for v = 0 to 5 do
         Alcotest.(check bool) "every vertex 3 visits" true
-          (Coverage.visit_count c v >= 3)
+          (Ewalk.Visits.visit_count visits v >= 3)
       done
 
 let default_cap_scales () =

@@ -218,13 +218,17 @@ let exp_util_cover_helpers () =
 let exp_util_adversaries () =
   let rng = Rng.create ~seed:3 () in
   let g = Exp_util.regular_graph rng ~n:40 ~d:4 in
+  let visits = Ewalk.Visits.create g in
   List.iter
-    (fun adv ->
+    (fun (adv, visits) ->
       let rule = Ewalk.Eprocess.Adversarial adv in
-      match Exp_util.vertex_cover_eprocess ~rule rng g with
+      match Exp_util.vertex_cover_eprocess ~rule ?visits rng g with
       | Some _ -> ()
       | None -> Alcotest.fail "adversarial run capped")
-    [ Exp_util.adversary_stay_explored; Exp_util.adversary_min_blue ]
+    [
+      (Exp_util.adversary_stay_explored visits, Some visits);
+      (Exp_util.adversary_min_blue, None);
+    ]
 
 (* -- Wall-time regression guards --------------------------------------------- *)
 

@@ -248,10 +248,12 @@ let metropolis_uniform_visits () =
   let g = Gen_classic.lollipop 6 6 in
   let rng = Rng.create ~seed:5 () in
   let t = Ewalk.Metropolis.create g rng ~start:0 in
-  Ewalk.Cover.run_steps (Ewalk.Metropolis.process t) 600_000 |> ignore;
-  let c = Ewalk.Metropolis.coverage t in
-  let clique = Ewalk.Coverage.visit_count c 1 in
-  let tip = Ewalk.Coverage.visit_count c (Graph.n g - 1) in
+  let visits = Ewalk.Visits.create g in
+  Ewalk.Cover.run_steps
+    (Ewalk.Visits.attach visits (Ewalk.Metropolis.process t))
+    600_000;
+  let clique = Ewalk.Visits.visit_count visits 1 in
+  let tip = Ewalk.Visits.visit_count visits (Graph.n g - 1) in
   let ratio = float_of_int clique /. float_of_int (max 1 tip) in
   Alcotest.(check bool)
     (Printf.sprintf "ratio %.2f ~ 1 (tip gets boundary boost)" ratio)

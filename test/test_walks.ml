@@ -50,12 +50,12 @@ let srw_stationary_visits () =
   let rng = Rng.create ~seed:2 () in
   let t = Srw.create g rng ~start:0 in
   let steps = 400_000 in
-  Cover.run_steps (Srw.process t) steps;
-  let c = Srw.coverage t in
+  let visits = Ewalk.Visits.create g in
+  Cover.run_steps (Ewalk.Visits.attach visits (Srw.process t)) steps;
   let clique_vertex = 0 and tip = Graph.n g - 1 in
   let ratio =
-    float_of_int (Coverage.visit_count c clique_vertex)
-    /. float_of_int (max 1 (Coverage.visit_count c tip))
+    float_of_int (Ewalk.Visits.visit_count visits clique_vertex)
+    /. float_of_int (max 1 (Ewalk.Visits.visit_count visits tip))
   in
   let expected =
     float_of_int (Graph.degree g clique_vertex)
@@ -334,10 +334,11 @@ let prop_coverage_counts_match_steps =
       let g = Gen_regular.cycle_union (Rng.create ~seed ()) 12 2 in
       let rng = Rng.create ~seed:(seed + 99) () in
       let t = Srw.create g rng ~start:0 in
-      Cover.run_steps (Srw.process t) 500;
+      let visits = Ewalk.Visits.create g in
+      Cover.run_steps (Ewalk.Visits.attach visits (Srw.process t)) 500;
       let total = ref 0 in
       for v = 0 to Graph.n g - 1 do
-        total := !total + Coverage.visit_count (Srw.coverage t) v
+        total := !total + Ewalk.Visits.visit_count visits v
       done;
       !total = 501)
 
