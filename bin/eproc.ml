@@ -829,10 +829,11 @@ let trace_cmd =
                   None )
           in
           let all_covered () =
-            let w = Engine.walkers eng in
             let rec go i =
-              i >= w
-              || (Engine.walker_cover_step eng i <> None && go (i + 1))
+              i >= Engine.walkers eng
+              || Ewalk.Coverage.all_vertices_visited
+                   (Engine.walker_coverage eng i)
+                 && go (i + 1)
             in
             go 0
           in

@@ -353,15 +353,15 @@ let kernel_starts g w =
   let n = Graph.n g in
   Array.init w (fun i -> i * max 1 (n / w) mod n)
 
-let kernel_stopped c eng =
-  match c.k_mode with
-  | Engine.Cooperating -> Coverage.all_vertices_visited (Engine.coverage eng)
-  | Engine.Competing ->
-      let covered = ref false in
-      for w = 0 to Engine.walkers eng - 1 do
-        if Engine.walker_cover_step eng w <> None then covered := true
-      done;
-      !covered
+(* A case stops once some walker's coverage is complete: the shared one
+   in cooperating mode, the first walker's own in competing mode. *)
+let kernel_stopped eng =
+  let covered = ref false in
+  for w = 0 to Engine.walkers eng - 1 do
+    if Coverage.all_vertices_visited (Engine.walker_coverage eng w) then
+      covered := true
+  done;
+  !covered
 
 (* Per-walker invariant monitors: in competing mode every walker's stream
    is a self-contained single walk over its private visited set
@@ -416,26 +416,15 @@ let check_kernel_rotors c eng orc where =
   | Engine.Srw | Engine.Lazy_srw ->
       Ok ()
   | Engine.Rotor ->
-      let g = c.k_graph in
       let bad = ref None in
-      (match c.k_mode with
-      | Engine.Cooperating ->
-          for v = 0 to Graph.n g - 1 do
-            if
-              !bad = None
-              && Engine.rotor_offset eng v <> Oracle.Kernel.rotor_offset orc 0 v
-            then bad := Some (0, v)
-          done
-      | Engine.Competing ->
-          for w = 0 to c.k_walkers - 1 do
-            for v = 0 to Graph.n g - 1 do
-              if
-                !bad = None
-                && Engine.walker_rotor_offset eng w v
-                   <> Oracle.Kernel.rotor_offset orc w v
-              then bad := Some (w, v)
-            done
-          done);
+      for w = 0 to c.k_walkers - 1 do
+        for v = 0 to Graph.n c.k_graph - 1 do
+          if
+            !bad = None
+            && Engine.rotor_offset eng w v <> Oracle.Kernel.rotor_offset orc w v
+          then bad := Some (w, v)
+        done
+      done;
       match !bad with
       | Some (w, v) -> err "%s: rotor offset of walker %d at vertex %d diverges" where w v
       | None -> Ok ()
@@ -462,7 +451,7 @@ let run_kernel_case c =
   let budget = c.k_max_steps * c.k_walkers in
   let total = ref 0 in
   let div = ref None in
-  while !div = None && (not (kernel_stopped c eng)) && !total < budget do
+  while !div = None && (not (kernel_stopped eng)) && !total < budget do
     let w = Engine.cursor eng in
     Engine.step eng;
     Oracle.Kernel.step orc;
@@ -488,61 +477,30 @@ let run_kernel_case c =
   | Some msg -> Error msg
   | None -> (
       let* () = match !first with Some m -> Error m | None -> Ok () in
-      if not (kernel_stopped c eng) then
+      if not (kernel_stopped eng) then
         err "not covered within %d walker-steps" budget
       else
-        match c.k_mode with
-        | Engine.Cooperating ->
-            let cov = Engine.coverage eng in
-            let* () = check_edge_flags cov (Oracle.Kernel.visited_row orc 0) in
+        (* Every walker's coverage against its oracle row: the shared one
+           in cooperating mode, its own in competing mode. *)
+        let rec walkers w =
+          if w = c.k_walkers then check_kernel_rotors c eng orc "at end"
+          else
+            let cov = Engine.walker_coverage eng w in
+            let* () = check_edge_flags cov (Oracle.Kernel.visited_row orc w) in
             if
               Coverage.vertices_visited cov
-              <> Oracle.Kernel.vertices_visited orc 0
+              <> Oracle.Kernel.vertices_visited orc w
             then
-              err "vertex counts diverge: engine %d, oracle %d"
+              err "walker %d: vertex count %d (engine) vs %d (oracle)" w
                 (Coverage.vertices_visited cov)
-                (Oracle.Kernel.vertices_visited orc 0)
-            else
-              let* () = check_kernel_rotors c eng orc "at end" in
-              Ok !total
-        | Engine.Competing ->
-            let bad = ref None in
-            for w = 0 to c.k_walkers - 1 do
-              if !bad = None then begin
-                let row = Oracle.Kernel.visited_row orc w in
-                Array.iteri
-                  (fun e r ->
-                    if !bad = None && Engine.walker_edge_visited eng w e <> r
-                    then
-                      bad :=
-                        Some (Printf.sprintf "walker %d: edge %d visited flag diverges" w e))
-                  row;
-                if
-                  !bad = None
-                  && Engine.walker_vertices_visited eng w
-                     <> Oracle.Kernel.vertices_visited orc w
-                then
-                  bad :=
-                    Some
-                      (Printf.sprintf "walker %d: vertex count %d (engine) vs %d (oracle)"
-                         w
-                         (Engine.walker_vertices_visited eng w)
-                         (Oracle.Kernel.vertices_visited orc w));
-                if
-                  !bad = None
-                  && Engine.walker_cover_step eng w <> None
-                     <> Oracle.Kernel.all_vertices_visited orc w
-                then
-                  bad :=
-                    Some
-                      (Printf.sprintf "walker %d: cover flag diverges from oracle" w)
-              end
-            done;
-            (match !bad with
-            | Some msg -> Error msg
-            | None ->
-                let* () = check_kernel_rotors c eng orc "at end" in
-                Ok !total))
+                (Oracle.Kernel.vertices_visited orc w)
+            else if
+              Coverage.all_vertices_visited cov
+              <> Oracle.Kernel.all_vertices_visited orc w
+            then err "walker %d: cover flag diverges from oracle" w
+            else walkers (w + 1)
+        in
+        Result.map (fun () -> !total) (walkers 0))
 
 let stock_kernel_cases ?(walkers = [ 1; 4; 17 ]) ?(seeds = [ 1; 2; 3 ]) () =
   let procs =

@@ -116,8 +116,6 @@ let of_visited g visited =
   done;
   t
 
-let of_coverage g cov = of_visited g (Coverage.edge_visited cov)
-
 let edge_set t =
   let b = Bitset.create (Graph.m t.g) in
   for e = 0 to Graph.m t.g - 1 do

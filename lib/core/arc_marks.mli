@@ -10,9 +10,10 @@
     walks index with the same draw.  Regions wider than one word (degree
     above 56) are read a word at a time.
 
-    The {!Engine}'s cooperating walkers (one shared set)
-    and its competing walkers (one private set each) all step on these
-    functions. *)
+    Every {!Coverage} holds one set of marks, retiring each edge on its
+    first traversal; the {!Engine}'s cooperating walkers share one
+    coverage and its competing walkers own one each, and all of them step
+    on these functions. *)
 
 open Ewalk_graph
 
@@ -59,12 +60,6 @@ val slot_retired : t -> int -> bool
 (** Whether the arc at a slot position is retired: the same answer as
     {!edge_retired} of the slot's edge, read at the slot itself.
     @raise Invalid_argument when the slot is out of range. *)
-
-val of_coverage : Graph.t -> Coverage.t -> t
-(** Marks with exactly the edges the coverage table has seen retired.  An
-    E-process retires the edge of every blue step and takes a red step
-    only when every incident edge is retired, so its marks always equal
-    its coverage's edge set: restore rebuilds them from there. *)
 
 val edge_set : t -> Bitset.t
 (** The retired edges packed one bit per edge id ([m] bits). *)

@@ -3,10 +3,8 @@ open Ewalk_graph
 type t = {
   n : int;
   m : int;
-  vertex_first : int array; (* -1 = unvisited *)
-  edge_first : int array;
-  visits : int array;
-  edge_count : int array;
+  marks : Arc_marks.t; (* every traversed edge retired *)
+  seen : Bitset.t; (* every visited vertex *)
   mutable vertices_seen : int;
   mutable edges_seen : int;
   mutable vertex_cover_step : int; (* -1 until covered *)
@@ -18,10 +16,8 @@ let create g =
   {
     n;
     m;
-    vertex_first = Array.make n (-1);
-    edge_first = Array.make m (-1);
-    visits = Array.make n 0;
-    edge_count = Array.make m 0;
+    marks = Arc_marks.create g;
+    seen = Bitset.create n;
     vertices_seen = 0;
     edges_seen = 0;
     vertex_cover_step = (if n = 0 then 0 else -1);
@@ -29,9 +25,8 @@ let create g =
   }
 
 let record_move t ~step v =
-  t.visits.(v) <- t.visits.(v) + 1;
-  if t.vertex_first.(v) < 0 then begin
-    t.vertex_first.(v) <- step;
+  if not (Bitset.get t.seen v) then begin
+    Bitset.set t.seen v;
     t.vertices_seen <- t.vertices_seen + 1;
     if t.vertices_seen = t.n then t.vertex_cover_step <- step
   end
@@ -39,13 +34,13 @@ let record_move t ~step v =
 let record_start t v = record_move t ~step:0 v
 
 let record_edge t ~step e =
-  t.edge_count.(e) <- t.edge_count.(e) + 1;
-  if t.edge_first.(e) < 0 then begin
-    t.edge_first.(e) <- step;
+  if not (Arc_marks.edge_retired t.marks e) then begin
+    Arc_marks.retire_edge t.marks e;
     t.edges_seen <- t.edges_seen + 1;
     if t.edges_seen = t.m then t.edge_cover_step <- step
   end
 
+let marks t = t.marks
 let total_vertices t = t.n
 let total_edges t = t.m
 
@@ -55,8 +50,8 @@ let vertex_fraction t =
 let edge_fraction t =
   if t.m = 0 then 1.0 else float_of_int t.edges_seen /. float_of_int t.m
 
-let vertex_visited t v = t.vertex_first.(v) >= 0
-let edge_visited t e = t.edge_first.(e) >= 0
+let vertex_visited t v = Bitset.get t.seen v
+let edge_visited t e = Arc_marks.edge_retired t.marks e
 let vertices_visited t = t.vertices_seen
 let edges_visited t = t.edges_seen
 let all_vertices_visited t = t.vertices_seen = t.n
@@ -68,75 +63,54 @@ let vertex_cover_step t =
 let edge_cover_step t =
   if t.edge_cover_step < 0 then None else Some t.edge_cover_step
 
-let first_visit t v = t.vertex_first.(v)
-let first_edge_visit t e = t.edge_first.(e)
-let visit_count t v = t.visits.(v)
-let edge_traversals t e = t.edge_count.(e)
-
-let min_visit_count t =
-  Array.fold_left (fun acc c -> if c < acc then c else acc) max_int t.visits
-
-let unvisited_vertices t =
-  let acc = ref [] in
-  for v = t.n - 1 downto 0 do
-    if t.vertex_first.(v) < 0 then acc := v :: !acc
-  done;
-  !acc
-
-let unvisited_edges t =
-  let acc = ref [] in
-  for e = t.m - 1 downto 0 do
-    if t.edge_first.(e) < 0 then acc := e :: !acc
-  done;
-  !acc
-
-let visited_edge_flags t = Array.map (fun s -> s >= 0) t.edge_first
+let visited_edge_flags t = Array.init t.m (edge_visited t)
 
 type state = {
-  s_vertex_first : int array;
-  s_edge_first : int array;
-  s_visits : int array;
-  s_edge_count : int array;
-  s_vertices_seen : int;
-  s_edges_seen : int;
+  s_edges : Bitset.t;
+  s_vertices : Bitset.t;
   s_vertex_cover_step : int;
   s_edge_cover_step : int;
 }
 
 let save t =
   {
-    s_vertex_first = Array.copy t.vertex_first;
-    s_edge_first = Array.copy t.edge_first;
-    s_visits = Array.copy t.visits;
-    s_edge_count = Array.copy t.edge_count;
-    s_vertices_seen = t.vertices_seen;
-    s_edges_seen = t.edges_seen;
+    s_edges = Arc_marks.edge_set t.marks;
+    s_vertices = Bitset.copy t.seen;
     s_vertex_cover_step = t.vertex_cover_step;
     s_edge_cover_step = t.edge_cover_step;
   }
 
-let restore g s =
+(* A cover step is set exactly when its set is full, and then no later
+   than the walk's clock: a resumed walk that is covered must know when. *)
+let check_cover_step ~what ~clock ~full step =
+  if step < -1 || (step >= 0) <> full then
+    invalid_arg
+      (Printf.sprintf "Coverage.restore: %s cover step %d disagrees with the %s set"
+         what step what);
+  if step > clock then
+    invalid_arg
+      (Printf.sprintf "Coverage.restore: %s cover step %d is past the clock %d"
+         what step clock)
+
+let restore g ~clock s =
   let n = Graph.n g and m = Graph.m g in
-  if Array.length s.s_vertex_first <> n || Array.length s.s_visits <> n then
-    invalid_arg "Coverage.restore: vertex arrays do not match the graph";
-  if Array.length s.s_edge_first <> m || Array.length s.s_edge_count <> m then
-    invalid_arg "Coverage.restore: edge arrays do not match the graph";
-  let count_nonneg a =
-    Array.fold_left (fun acc x -> if x >= 0 then acc + 1 else acc) 0 a
-  in
-  if count_nonneg s.s_vertex_first <> s.s_vertices_seen then
-    invalid_arg "Coverage.restore: vertices_seen disagrees with first-visits";
-  if count_nonneg s.s_edge_first <> s.s_edges_seen then
-    invalid_arg "Coverage.restore: edges_seen disagrees with first-visits";
+  if Bitset.length s.s_vertices <> n then
+    invalid_arg "Coverage.restore: vertex set does not match the graph";
+  if Bitset.length s.s_edges <> m then
+    invalid_arg "Coverage.restore: edge set does not match the graph";
+  let vertices_seen = Bitset.popcount s.s_vertices in
+  let edges_seen = Bitset.popcount s.s_edges in
+  check_cover_step ~what:"vertex" ~clock ~full:(vertices_seen = n)
+    s.s_vertex_cover_step;
+  check_cover_step ~what:"edge" ~clock ~full:(edges_seen = m)
+    s.s_edge_cover_step;
   {
     n;
     m;
-    vertex_first = Array.copy s.s_vertex_first;
-    edge_first = Array.copy s.s_edge_first;
-    visits = Array.copy s.s_visits;
-    edge_count = Array.copy s.s_edge_count;
-    vertices_seen = s.s_vertices_seen;
-    edges_seen = s.s_edges_seen;
+    marks = Arc_marks.of_edge_set g s.s_edges;
+    seen = Bitset.copy s.s_vertices;
+    vertices_seen;
+    edges_seen;
     vertex_cover_step = s.s_vertex_cover_step;
     edge_cover_step = s.s_edge_cover_step;
   }

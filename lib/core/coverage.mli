@@ -1,9 +1,20 @@
-(** Shared coverage instrumentation for all walk processes.
+(** The visited set: which edges and vertices a walk has traversed.
 
-    Tracks which vertices and edges have been visited, when they were first
-    visited, and how often each vertex has been occupied.  Every process in
-    this library owns one [Coverage.t] and reports each transition to it;
-    the generic runners in {!Cover} read cover times out of it. *)
+    An E-process's state is the set of edges it has traversed, and its
+    rule sees only which incident edges are still unvisited; every walk
+    process in this library reports each transition to one [Coverage.t],
+    and the generic runners in {!Cover} read cover times out of it.  It
+    holds exactly:
+
+    - the {!Arc_marks} of every traversed edge (an edge is retired in the
+      marks on its first traversal) — the same marks the E-process rules
+      prefer unvisited edges by;
+    - an [n]-bit vertex set;
+    - the two counts and the two cover steps.
+
+    That is 0.625 B/vertex on a 4-regular graph.  Visit counts and
+    first-visit steps are not kept here: {!Visits} records them for the
+    few measurements that read them. *)
 
 open Ewalk_graph
 
@@ -17,11 +28,16 @@ val record_start : t -> Graph.vertex -> unit
 
 val record_move : t -> step:int -> Graph.vertex -> unit
 (** [record_move t ~step v]: the walk occupies [v] after its [step]-th
-    transition. *)
+    transition; [v] joins the vertex set. *)
 
 val record_edge : t -> step:int -> Graph.edge -> unit
-(** [record_edge t ~step e]: transition number [step] traversed [e].
-    Idempotent (repeat traversals only bump {!edge_traversals}). *)
+(** [record_edge t ~step e]: transition number [step] traversed [e].  Its
+    first traversal retires [e] in the {!marks} and counts it; a repeat
+    traversal changes nothing. *)
+
+val marks : t -> Arc_marks.t
+(** The marks of the traversed edges (shared, not a copy).  Only
+    {!record_edge} may retire an arc: the counts track it. *)
 
 val total_vertices : t -> int
 (** [n] of the underlying graph. *)
@@ -49,45 +65,28 @@ val vertex_cover_step : t -> int option
 
 val edge_cover_step : t -> int option
 
-val first_visit : t -> Graph.vertex -> int
-(** Step of first visit, [-1] if unvisited. *)
-
-val first_edge_visit : t -> Graph.edge -> int
-
-val visit_count : t -> Graph.vertex -> int
-(** How many times the walk has occupied the vertex (start counts once). *)
-
-val edge_traversals : t -> Graph.edge -> int
-
-val min_visit_count : t -> int
-(** Minimum vertex visit count (0 while some vertex is unvisited). *)
-
-val unvisited_vertices : t -> Graph.vertex list
-val unvisited_edges : t -> Graph.edge list
-
 val visited_edge_flags : t -> bool array
-(** A copy of the per-edge visited flags (for blue-subgraph analysis). *)
+(** The per-edge visited flags as a fresh array (for blue-subgraph
+    analysis). *)
 
 (** {2 Checkpointing} *)
 
 type state = {
-  s_vertex_first : int array;
-  s_edge_first : int array;
-  s_visits : int array;
-  s_edge_count : int array;
-  s_vertices_seen : int;
-  s_edges_seen : int;
-  s_vertex_cover_step : int;
+  s_edges : Bitset.t;  (** the traversed edges, [m] bits *)
+  s_vertices : Bitset.t;  (** the visited vertices, [n] bits *)
+  s_vertex_cover_step : int;  (** [-1] until covered *)
   s_edge_cover_step : int;
 }
-(** A plain-data snapshot of the full coverage bookkeeping, as used by
-    [Ewalk_resume.Snapshot].  Arrays are copies; mutating a state never
-    affects the live tracker. *)
+(** A plain-data snapshot of the visited set.  The sets are copies;
+    mutating a state never affects the live tracker.  The counts are not
+    stored: they are the sets' popcounts. *)
 
 val save : t -> state
 (** Capture the complete current state. *)
 
-val restore : Graph.t -> state -> t
-(** Rebuild a tracker for [g] from a saved state.
-    @raise Invalid_argument if array lengths do not match the graph or the
-    seen-counters disagree with the first-visit arrays. *)
+val restore : Graph.t -> clock:int -> state -> t
+(** Rebuild a tracker for [g] from a saved state whose walk has taken
+    [clock] steps, recounting both sets by popcount.
+    @raise Invalid_argument if a set's length does not match the graph, or
+    a cover step breaks either rule: it is set (non-negative) exactly when
+    its set is full, and then lies in [0 .. clock]. *)

@@ -5,22 +5,22 @@
     rotor-router are other choice functions on the same loop.  The engine
     runs that loop for W walkers over one graph in round-robin lockstep,
     with all per-walker state held struct-of-arrays style: a flat
-    [int array] of positions, one {!Ewalk_prng.Rng.t} lane per walker,
-    and {!Arc_marks} visited-edge marks.  {!Eprocess}, {!Srw} and
-    {!Rotor} are names and constructors over a one-walker engine
-    ({!single}).
+    [int array] of positions and one {!Ewalk_prng.Rng.t} lane per walker.
+    Every walker records its steps on a {!Coverage} — the visited set,
+    whose {!Arc_marks} are also what the E-process rules prefer unvisited
+    edges by.  {!Eprocess}, {!Srw} and {!Rotor} are names and constructors
+    over a one-walker engine ({!single}).
 
-    Two marking disciplines:
+    Two disciplines, one step:
 
-    - {e cooperating}: all walkers share one set of marks and one
-      {!Coverage} table — a blue edge retired by any walker is gone for
-      every walker.  Steps advance a global clock; the engine exposes a
+    - {e cooperating}: the engine holds one coverage, shared by all its
+      walkers — a blue edge retired by any walker is gone for every
+      walker.  Steps advance a global clock; the engine exposes a
       {!Cover.process} adapter.
-    - {e competing}: every walker carries private marks and a private
-      vertex set, so walkers are mutually independent and walker blocks
-      shard across domains via {!Ewalk_par.Pool} ({!run_rounds}) with
-      results independent of the job count.  Step clocks are
-      walker-local.
+    - {e competing}: the engine holds one coverage per walker, so walkers
+      are mutually independent and walker blocks shard across domains via
+      {!Ewalk_par.Pool} ({!run_rounds}) with results independent of the
+      job count.  Step clocks are walker-local.
 
     E-process blue choices in both modes index the live slots in adjacency
     order — exactly the naive [Ewalk_check.Oracle] protocol. *)
@@ -190,32 +190,19 @@ val walker_blue_steps : t -> int -> int
 val walker_red_steps : t -> int -> int
 
 val coverage : t -> Coverage.t
-(** The shared coverage table.  @raise Invalid_argument in competing
-    mode. *)
+(** Cooperating mode: the shared coverage (not a copy).
+    @raise Invalid_argument in competing mode. *)
 
-val marks : t -> Arc_marks.t
-(** Cooperating E-process engines: the shared visited-edge marks (not a
-    copy), which always hold exactly the edges {!coverage} has seen.
-    @raise Invalid_argument otherwise. *)
+val walker_coverage : t -> int -> Coverage.t
+(** The coverage walker [w] records on (not a copy): the shared one in
+    cooperating mode, its own in competing mode, where its steps and
+    cover steps are walker-local.
+    @raise Invalid_argument if there is no walker [w]. *)
 
-val walker_vertices_visited : t -> int -> int
-(** Competing mode: vertices walker [w] has seen (its start counts).
-    @raise Invalid_argument in cooperating mode; likewise the three
-    accessors below. *)
-
-val walker_edges_visited : t -> int -> int
-val walker_edge_visited : t -> int -> Graph.edge -> bool
-val walker_vertex_visited : t -> int -> Graph.vertex -> bool
-
-val walker_cover_step : t -> int -> int option
-(** Competing mode: the walker-local step at which walker [w] completed
-    its own vertex cover, if it has. *)
-
-val rotor_offset : t -> Graph.vertex -> int
-(** Cooperating rotor engines: the shared rotor offset at [v]. *)
-
-val walker_rotor_offset : t -> int -> Graph.vertex -> int
-(** Competing rotor engines: walker [w]'s private rotor offset at [v]. *)
+val rotor_offset : t -> int -> Graph.vertex -> int
+(** Rotor engines: walker [w]'s rotor offset at [v] — the shared row in
+    cooperating mode, its own in competing mode.
+    @raise Invalid_argument on another process. *)
 
 val proc_name : proc -> string
 (** The process name ("e-process(uar)", "lazy-srw", "rotor-router", ...). *)
@@ -231,7 +218,7 @@ val process : t -> Cover.process
     {!Cover.run_until_vertex_cover} and {!Observe.instrument}.
     @raise Invalid_argument in competing mode. *)
 
-(** {1 Checkpointing (cooperating mode)}
+(** {1 Checkpointing}
 
     Every engine but an {!E_adversarial} one checkpoints; the
     adversarial rule's closure is not plain data, and checkpointing it
@@ -239,69 +226,34 @@ val process : t -> Cover.process
 
 type checkpoint = {
   ck_proc : proc;
+  ck_mode : mode;
   ck_pos : int array;
   ck_cursor : int;
-  ck_steps : int;
+  ck_steps : int;  (** total steps, the sum of [ck_wsteps] *)
   ck_wsteps : int array;
   ck_wblue : int array;
   ck_wred : int array;
   ck_prng : int64 array;  (** the lanes' {!Ewalk_prng.Rng.save} words, walker-major *)
-  ck_coverage : Coverage.state;
-  ck_rotor : int array option;  (** Rotor only *)
+  ck_coverage : Coverage.state array;
+      (** the engine's coverages: one (cooperating) or one per walker
+          (competing) *)
+  ck_rotor : int array option;
+      (** one row of [n] offsets per coverage, row-major; Rotor only *)
   ck_phase : (phase_kind * int * Graph.vertex) option array;
+      (** each walker's open phase: kind, start stamp, start vertex *)
 }
 
 val checkpoint : t -> checkpoint
-(** Serialize a cooperating engine's complete state.
-    @raise Invalid_argument in competing mode. *)
+(** Serialize an engine's complete state (the sets are copied). *)
 
 val of_checkpoint : Graph.t -> checkpoint -> t
 (** Rebuild an engine that continues bit-identically to the one
-    checkpointed.  The E-process rules' shared marks are rebuilt from the
-    coverage's edge set, which they always equal.  Observers and faults
-    are not restored.
-    @raise Invalid_argument on any internally inconsistent record, among
-    them an E-process record whose blue steps differ from its edges
-    seen. *)
-
-(** {1 Checkpointing (competing mode)} *)
-
-type competing_checkpoint = {
-  cc_proc : proc;
-  cc_pos : int array;
-  cc_cursor : int;
-  cc_wsteps : int array;
-  cc_wblue : int array;
-  cc_wred : int array;
-  cc_prng : int64 array;  (** the lanes' {!Ewalk_prng.Rng.save} words, walker-major *)
-  cc_visited : Bitset.t array;
-      (** per-walker traversed edges, m bits ({!Arc_marks.edge_set}) *)
-  cc_vseen : Bitset.t array;  (** per-walker vertex bitsets, n bits *)
-  cc_vcount : int array;
-      (** serialized for inspectability only — restore recomputes *)
-  cc_ecount : int array;  (** likewise *)
-  cc_cover_at : int array;  (** walker-local cover step, [-1] if none *)
-  cc_rotor : int array option;  (** walkers * n, walker-major; Rotor only *)
-  cc_phase : (phase_kind * int * Graph.vertex) option array;
-}
-(** Complete state of a competing engine.  The visit counters
-    [cc_vcount]/[cc_ecount] ride along so snapshot inspection can print
-    them, but they are {e derived} data: {!of_checkpoint_competing}
-    recomputes both from the bitsets by popcount and rejects a record
-    whose stored counters disagree — a resumed run never trusts a
-    counter it can recount. *)
-
-val checkpoint_competing : t -> competing_checkpoint
-(** Serialize a competing engine's complete state (bitsets are copied).
-    @raise Invalid_argument in cooperating mode (use {!checkpoint}). *)
-
-val of_checkpoint_competing : Graph.t -> competing_checkpoint -> t
-(** Rebuild a competing engine that continues bit-identically to the one
-    checkpointed, at any job count.  Per-walker visit counters are
-    recomputed from the bitset popcounts, never read from the record.
-    Observers and faults are not restored.
+    checkpointed, at any job count.  Each coverage is rebuilt by
+    {!Coverage.restore}, which recounts it and checks its cover steps
+    against the clock that stamps it.  Observers and faults are not
+    restored.
     @raise Invalid_argument on any internally inconsistent record: bad
-    lengths or ranges, step counters that do not add up, a stored visit
-    counter disagreeing with its bitset's popcount, a walker position
-    not marked seen, or a cover mark inconsistent with the vertex
-    set. *)
+    lengths or ranges, step counters that do not add up, a cover step
+    that breaks {!Coverage.restore}'s rules, a walker position not marked
+    seen, or an E-process record whose blue steps differ from its edges
+    seen. *)

@@ -11,9 +11,10 @@
     parameter here.
 
     The process is a one-walker {!Engine}: this module names its rules
-    and the accessors callers use, over [type t = Engine.t].  Visited
-    edges are {!Arc_marks}, one bit per adjacency slot; every rule sees
-    its candidates in adjacency order.
+    and the accessors callers use, over [type t = Engine.t].  Its state
+    is its visited set, a {!Coverage}: visited edges are its
+    {!Arc_marks}, one bit per adjacency slot, and every rule sees its
+    candidates in adjacency order.
 
     The paper's proofs use the red/blue {e phase} structure: a blue phase
     is a maximal run of unvisited-edge transitions, a red phase a maximal
@@ -67,10 +68,8 @@ val red_steps : t -> int
 (** Simple-random-walk transitions (the embedded walk [W] of Obs. 12). *)
 
 val coverage : t -> Coverage.t
-
-val marks : t -> Arc_marks.t
-(** The visited-edge marks (shared, not a copy); they always hold exactly
-    the edges {!coverage} has seen. *)
+(** The visited set; its {!Coverage.marks} are the marks the rule prefers
+    unvisited edges by. *)
 
 val blue_degree : t -> Graph.vertex -> int
 (** Number of unvisited edges incident with the vertex right now. *)

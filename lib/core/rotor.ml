@@ -11,6 +11,6 @@ let graph = Engine.graph
 let position = Engine.position
 let steps = Engine.steps
 let coverage = Engine.coverage
-let rotor_offset = Engine.rotor_offset
+let rotor_offset t v = Engine.rotor_offset t 0 v
 let step = Engine.step
 let process = Engine.process

@@ -2,8 +2,7 @@ open Ewalk_graph
 module Json = Ewalk_obs.Json
 module Engine = Ewalk.Engine
 
-let schema = "ewalk-snapshot/2"
-let schema_v1 = "ewalk-snapshot/1"
+let schema = "ewalk-snapshot/3"
 
 type walk =
   | Eprocess of Ewalk.Eprocess.t
@@ -44,19 +43,6 @@ let rng_words words =
     (Array.to_list
        (Array.map (fun w -> Json.String (Printf.sprintf "0x%Lx" w)) words))
 
-let coverage_json (s : Ewalk.Coverage.state) =
-  Json.Obj
-    [
-      ("vertex_first", int_array s.s_vertex_first);
-      ("edge_first", int_array s.s_edge_first);
-      ("visits", int_array s.s_visits);
-      ("edge_count", int_array s.s_edge_count);
-      ("vertices_seen", Json.Int s.s_vertices_seen);
-      ("edges_seen", Json.Int s.s_edges_seen);
-      ("vertex_cover_step", Json.Int s.s_vertex_cover_step);
-      ("edge_cover_step", Json.Int s.s_edge_cover_step);
-    ]
-
 (* The wire names of the engine's processes.  An adversarial rule never
    reaches here: checkpointing it raises first. *)
 let proc_names =
@@ -90,69 +76,49 @@ let phase_cell = function
           ("start_vertex", Json.Int start_vertex);
         ]
 
-(* The fields both payload kinds share, in wire order: the graph size,
-   the process and the per-walker state, then (after the mode's own
-   fields) the phase cells. *)
-let walker_fields g ~proc ~pos ~cursor ~steps ~wsteps ~wblue ~wred ~prng =
-  [
-    ("n", Json.Int (Graph.n g));
-    ("m", Json.Int (Graph.m g));
-    ("proc", Json.String (proc_wire_name proc));
-    ("walkers", Json.Int (Array.length pos));
-    ("pos", int_array pos);
-    ("cursor", Json.Int cursor);
-    ("steps", Json.Int steps);
-    ("wsteps", int_array wsteps);
-    ("wblue", int_array wblue);
-    ("wred", int_array wred);
-    ("prng", rng_words prng);
-  ]
-
-let phase_field phase =
-  ("phase", Json.List (Array.to_list (Array.map phase_cell phase)))
-
 let rotor_json = function None -> Json.Null | Some r -> int_array r
 
+(* One layout for both kinds: the walker fields, then one entry per
+   coverage in each of the visited-set fields, then the rotor rows and
+   the phase cells.  The kind says whether the coverage is shared.  The
+   counts are derived data, written so that [describe] can cross-check
+   them against the sets. *)
 let payload_of_engine e =
   let g = Engine.graph e in
-  match Engine.mode e with
-  | Engine.Competing ->
-      (* Competing engines carry per-walker bit-packed visited sets; the
-         bitsets travel as hex strings and the derived visit counters ride
-         along for inspectability ([describe] cross-checks them). *)
-      let ck = Engine.checkpoint_competing e in
-      let bitsets a =
-        Json.List
-          (Array.to_list
-             (Array.map (fun b -> Json.String (Ewalk.Bitset.to_hex b)) a))
-      in
-      Json.Obj
-        ((("kind", Json.String "kernel-competing")
-         :: walker_fields g ~proc:ck.cc_proc ~pos:ck.cc_pos ~cursor:ck.cc_cursor
-              ~steps:(Array.fold_left ( + ) 0 ck.cc_wsteps)
-              ~wsteps:ck.cc_wsteps ~wblue:ck.cc_wblue ~wred:ck.cc_wred
-              ~prng:ck.cc_prng)
-        @ [
-            ("visited", bitsets ck.cc_visited);
-            ("vseen", bitsets ck.cc_vseen);
-            ("vcount", int_array ck.cc_vcount);
-            ("ecount", int_array ck.cc_ecount);
-            ("cover_at", int_array ck.cc_cover_at);
-            ("rotor", rotor_json ck.cc_rotor);
-            phase_field ck.cc_phase;
-          ])
-  | Engine.Cooperating ->
-      let ck = Engine.checkpoint e in
-      Json.Obj
-        ((("kind", Json.String "kernel")
-         :: walker_fields g ~proc:ck.ck_proc ~pos:ck.ck_pos ~cursor:ck.ck_cursor
-              ~steps:ck.ck_steps ~wsteps:ck.ck_wsteps ~wblue:ck.ck_wblue
-              ~wred:ck.ck_wred ~prng:ck.ck_prng)
-        @ [
-            ("coverage", coverage_json ck.ck_coverage);
-            ("rotor", rotor_json ck.ck_rotor);
-            phase_field ck.ck_phase;
-          ])
+  let ck = Engine.checkpoint e in
+  (* Coverage r is walker r's, in both modes. *)
+  let covs = Array.mapi (fun r _ -> Engine.walker_coverage e r) ck.ck_coverage in
+  let per_coverage f = Json.List (Array.to_list (Array.map f ck.ck_coverage)) in
+  let hex b = Json.String (Ewalk.Bitset.to_hex b) in
+  Json.Obj
+    [
+      ( "kind",
+        Json.String
+          (match ck.ck_mode with
+          | Engine.Cooperating -> "kernel"
+          | Engine.Competing -> "kernel-competing") );
+      ("n", Json.Int (Graph.n g));
+      ("m", Json.Int (Graph.m g));
+      ("proc", Json.String (proc_wire_name ck.ck_proc));
+      ("walkers", Json.Int (Array.length ck.ck_pos));
+      ("pos", int_array ck.ck_pos);
+      ("cursor", Json.Int ck.ck_cursor);
+      ("steps", Json.Int ck.ck_steps);
+      ("wsteps", int_array ck.ck_wsteps);
+      ("wblue", int_array ck.ck_wblue);
+      ("wred", int_array ck.ck_wred);
+      ("prng", rng_words ck.ck_prng);
+      ("visited", per_coverage (fun s -> hex s.Ewalk.Coverage.s_edges));
+      ("vseen", per_coverage (fun s -> hex s.Ewalk.Coverage.s_vertices));
+      ("vcount", int_array (Array.map Ewalk.Coverage.vertices_visited covs));
+      ("ecount", int_array (Array.map Ewalk.Coverage.edges_visited covs));
+      ( "cover_at",
+        per_coverage (fun s -> Json.Int s.Ewalk.Coverage.s_vertex_cover_step) );
+      ( "ecover_at",
+        per_coverage (fun s -> Json.Int s.Ewalk.Coverage.s_edge_cover_step) );
+      ("rotor", rotor_json ck.ck_rotor);
+      ("phase", Json.List (Array.to_list (Array.map phase_cell ck.ck_phase)));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Decoding *)
@@ -203,44 +169,6 @@ let get_rng_words name j =
            l)
   | _ -> fail "field %S is not an array" name
 
-let coverage_of_json j : Ewalk.Coverage.state =
-  {
-    s_vertex_first = get_int_array "vertex_first" j;
-    s_edge_first = get_int_array "edge_first" j;
-    s_visits = get_int_array "visits" j;
-    s_edge_count = get_int_array "edge_count" j;
-    s_vertices_seen = get_int "vertices_seen" j;
-    s_edges_seen = get_int "edges_seen" j;
-    s_vertex_cover_step = get_int "vertex_cover_step" j;
-    s_edge_cover_step = get_int "edge_cover_step" j;
-  }
-
-(* Payloads a build can no longer resume, refused with a typed
-   [Mismatch] rather than continued under a different encoding:
-
-   - the single-walker kinds ([eprocess], [srw], [lazy-srw], [rotor]),
-     written before every walk became an engine — a walk now snapshots as
-     [kernel] or [kernel-competing];
-   - payloads that still carry an [unvisited] section, written while the
-     E-process kept its visited edges in a swap partition whose private
-     slot order the uniform rule's draws indexed. *)
-let refusal j =
-  match Json.to_string_opt (Option.value (Json.member "kind" j) ~default:Json.Null) with
-  | Some (("eprocess" | "srw" | "lazy-srw" | "rotor") as kind) ->
-      Some
-        (Printf.sprintf
-           "payload kind %S is a retired single-walker encoding: walks now \
-            snapshot as \"kernel\" or \"kernel-competing\"; regenerate it \
-            with this build"
-           kind)
-  | _ -> (
-      match Json.member "unvisited" j with
-      | None | Some Json.Null -> None
-      | Some _ ->
-          Some
-            "payload carries an \"unvisited\" section: it was written under \
-             the swap-partition coupling and cannot resume draw-for-draw")
-
 let proc_of_json j =
   let name = get_string "proc" j in
   match List.assoc_opt name proc_names with
@@ -268,6 +196,20 @@ let phase_of_json j =
 let rotor_of_json j =
   match field "rotor" j with Json.Null -> None | _ -> Some (get_int_array "rotor" j)
 
+let hex_sets name ~len j =
+  match field name j with
+  | Json.List l ->
+      Array.of_list
+        (List.map
+           (fun v ->
+             match Json.to_string_opt v with
+             | Some hex -> (
+                 try Ewalk.Bitset.of_hex ~len hex
+                 with Invalid_argument msg -> fail "field %S: %s" name msg)
+             | None -> fail "field %S has a non-string entry" name)
+           l)
+  | _ -> fail "field %S is not an array" name
+
 let engine_of_payload g j =
   let n = get_int "n" j and m = get_int "m" j in
   if n <> Graph.n g || m <> Graph.m g then
@@ -277,61 +219,61 @@ let engine_of_payload g j =
             "recorded on a graph with n=%d m=%d, but the given graph has \
              n=%d m=%d"
             n m (Graph.n g) (Graph.m g)));
+  let mode =
+    match get_string "kind" j with
+    | "kernel" -> Engine.Cooperating
+    | "kernel-competing" -> Engine.Competing
+    | other -> fail "unknown walk kind %S" other
+  in
   let pos = get_int_array "pos" j in
   let phase = phase_of_json j in
   if Array.length phase <> Array.length pos then
     fail "field \"phase\" has %d entries for %d walkers" (Array.length phase)
       (Array.length pos);
-  match get_string "kind" j with
-  | "kernel" ->
-      Engine.of_checkpoint g
-        {
-          ck_proc = proc_of_json j;
-          ck_pos = pos;
-          ck_cursor = get_int "cursor" j;
-          ck_steps = get_int "steps" j;
-          ck_wsteps = get_int_array "wsteps" j;
-          ck_wblue = get_int_array "wblue" j;
-          ck_wred = get_int_array "wred" j;
-          ck_prng = get_rng_words "prng" j;
-          ck_coverage = coverage_of_json (field "coverage" j);
-          ck_rotor = rotor_of_json j;
-          ck_phase = phase;
-        }
-  | "kernel-competing" ->
-      let bitsets name ~len =
-        match field name j with
-        | Json.List l ->
-            Array.of_list
-              (List.map
-                 (fun v ->
-                   match Json.to_string_opt v with
-                   | Some hex -> (
-                       try Ewalk.Bitset.of_hex ~len hex
-                       with Invalid_argument msg ->
-                         fail "field %S: %s" name msg)
-                   | None -> fail "field %S has a non-string entry" name)
-                 l)
-        | _ -> fail "field %S is not an array" name
-      in
-      Engine.of_checkpoint_competing g
-        {
-          cc_proc = proc_of_json j;
-          cc_pos = pos;
-          cc_cursor = get_int "cursor" j;
-          cc_wsteps = get_int_array "wsteps" j;
-          cc_wblue = get_int_array "wblue" j;
-          cc_wred = get_int_array "wred" j;
-          cc_prng = get_rng_words "prng" j;
-          cc_visited = bitsets "visited" ~len:(Graph.m g);
-          cc_vseen = bitsets "vseen" ~len:(Graph.n g);
-          cc_vcount = get_int_array "vcount" j;
-          cc_ecount = get_int_array "ecount" j;
-          cc_cover_at = get_int_array "cover_at" j;
-          cc_rotor = rotor_of_json j;
-          cc_phase = phase;
-        }
-  | other -> fail "unknown walk kind %S" other
+  let rows =
+    match mode with Engine.Cooperating -> 1 | Engine.Competing -> Array.length pos
+  in
+  let rowed name a =
+    if Array.length a <> rows then
+      fail "field %S has %d entries for %d coverages" name (Array.length a) rows;
+    a
+  in
+  let visited = rowed "visited" (hex_sets "visited" ~len:(Graph.m g) j) in
+  let vseen = rowed "vseen" (hex_sets "vseen" ~len:(Graph.n g) j) in
+  let vcount = rowed "vcount" (get_int_array "vcount" j) in
+  let ecount = rowed "ecount" (get_int_array "ecount" j) in
+  let cover_at = rowed "cover_at" (get_int_array "cover_at" j) in
+  let ecover_at = rowed "ecover_at" (get_int_array "ecover_at" j) in
+  (* The stored counts are never trusted: restore recounts the sets, and a
+     count that disagrees with its set marks a stale or tampered file. *)
+  for r = 0 to rows - 1 do
+    if
+      vcount.(r) <> Ewalk.Bitset.popcount vseen.(r)
+      || ecount.(r) <> Ewalk.Bitset.popcount visited.(r)
+    then fail "stored visit counter disagrees with its bitset popcount"
+  done;
+  Engine.of_checkpoint g
+    {
+      ck_proc = proc_of_json j;
+      ck_mode = mode;
+      ck_pos = pos;
+      ck_cursor = get_int "cursor" j;
+      ck_steps = get_int "steps" j;
+      ck_wsteps = get_int_array "wsteps" j;
+      ck_wblue = get_int_array "wblue" j;
+      ck_wred = get_int_array "wred" j;
+      ck_prng = get_rng_words "prng" j;
+      ck_coverage =
+        Array.init rows (fun r ->
+            {
+              Ewalk.Coverage.s_edges = visited.(r);
+              s_vertices = vseen.(r);
+              s_vertex_cover_step = cover_at.(r);
+              s_edge_cover_step = ecover_at.(r);
+            });
+      ck_rotor = rotor_of_json j;
+      ck_phase = phase;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Files *)
@@ -341,8 +283,7 @@ let write ~path walk =
   let crc = Crc32.to_hex (Crc32.string payload) in
   (* Run provenance lives in the header, next to the schema tag: the CRC
      covers the payload bytes only, so stamping the id does not disturb
-     the walk-state checksum, and v1 readers that checked the payload
-     alone never see it. *)
+     the walk-state checksum. *)
   let provenance =
     match Ewalk_obs.Runlog.current () with
     | None -> ""
@@ -376,11 +317,11 @@ let write ~path walk =
    payload's serialized bytes: the reader re-serializes the parsed payload,
    which is byte-identical to what the writer hashed because the JSON
    serializer is deterministic and snapshot payloads carry no floats. *)
-(* Run provenance from the header.  A v2 header carries [run_id] (and
+(* Run provenance from the header.  A header carries [run_id] (and
    optionally [parent_run_id]); both must be well-formed ids or the file
-   is rejected as tampered.  A v1 header (or a v2 writer with no ambient
-   run) carries none — a stable legacy id is synthesized from the payload
-   bytes so every snapshot still joins to {e some} id. *)
+   is rejected as tampered.  A writer with no ambient run stamps none — a
+   stable id is synthesized from the payload bytes so every snapshot
+   still joins to {e some} id. *)
 let provenance_of_header doc ~payload_str =
   match Json.member "run_id" doc with
   | None ->
@@ -413,11 +354,13 @@ let read_payload ~path =
       | Ok doc -> (
           match Option.bind (Json.member "schema" doc) Json.to_string_opt with
           | None -> Error (Corrupt "no schema tag")
-          | Some s when s <> schema && s <> schema_v1 ->
+          | Some s when s <> schema ->
               Error
                 (Mismatch
-                   (Printf.sprintf "schema %S, this reader understands %S" s
-                      schema))
+                   (Printf.sprintf
+                      "schema %S, this reader understands only %S: regenerate \
+                       the snapshot with this build"
+                      s schema))
           | Some _ -> (
               match
                 ( Option.bind (Json.member "crc32" doc) Json.to_string_opt,
@@ -447,12 +390,9 @@ let read_with_id g ~path =
   match read_payload ~path with
   | Error _ as e -> e
   | Ok (payload, run) -> (
-      match refusal payload with
-      | Some msg -> Error (Mismatch msg)
-      | None -> (
-          try Ok (of_engine (engine_of_payload g payload), run) with
-          | Bad msg -> Error (Mismatch msg)
-          | Invalid_argument msg -> Error (Mismatch msg)))
+      try Ok (of_engine (engine_of_payload g payload), run) with
+      | Bad msg -> Error (Mismatch msg)
+      | Invalid_argument msg -> Error (Mismatch msg))
 
 let read g ~path = Result.map fst (read_with_id g ~path)
 
@@ -485,54 +425,37 @@ let describe ~path =
   match read_payload ~path with
   | Error _ as e -> e
   | Ok (payload, run) -> (
-      match refusal payload with
-      | Some msg -> Error (Mismatch msg)
-      | None -> (
-          try
-            let kind = get_string "kind" payload in
-            let n = get_int "n" payload and m = get_int "m" payload in
-            let head =
-              Printf.sprintf "%s: %s walk on n=%d m=%d, %d steps, %d walkers (cursor %d)"
-                schema kind n m (get_int "steps" payload)
-                (get_int "walkers" payload) (get_int "cursor" payload)
-            in
-            let tail =
-              Printf.sprintf " proc=%s [run %s%s]" (get_string "proc" payload)
-                run.Ewalk_obs.Runlog.run_id
-                (match run.Ewalk_obs.Runlog.parent_run_id with
-                | None -> ""
-                | Some p -> " parent " ^ p)
-            in
-            match kind with
-            | "kernel-competing" ->
-                (* No shared coverage table: report per-walker visit
-                   counters, cross-checked against the bitset popcounts the
-                   way a resume would — the crash matrix greps for the
-                   verdict. *)
-                let vcount = get_int_array "vcount" payload in
-                let ecount = get_int_array "ecount" payload in
-                let vpop = hex_popcounts "vseen" payload in
-                let epop = hex_popcounts "visited" payload in
-                if
-                  Array.length vpop <> Array.length vcount
-                  || Array.length epop <> Array.length ecount
-                then fail "bitset arrays do not match the counter arrays";
-                if vpop <> vcount || epop <> ecount then
-                  fail
-                    "stored visit counter disagrees with its bitset popcount \
-                     (counter!=popcount)";
-                Ok
-                  (Printf.sprintf
-                     "%s, best walker %d/%d vertices, counters verified \
-                      (counter==popcount)%s"
-                     head (Array.fold_left max 0 vcount) n tail)
-            | "kernel" ->
-                let coverage = field "coverage" payload in
-                Ok
-                  (Printf.sprintf "%s, %d/%d vertices %d/%d edges visited%s" head
-                     (get_int "vertices_seen" coverage)
-                     n
-                     (get_int "edges_seen" coverage)
-                     m tail)
-            | other -> fail "unknown walk kind %S" other
-          with Bad msg -> Error (Corrupt msg)))
+      try
+        let kind = get_string "kind" payload in
+        if kind <> "kernel" && kind <> "kernel-competing" then
+          fail "unknown walk kind %S" kind;
+        let n = get_int "n" payload and m = get_int "m" payload in
+        (* The stored counts, cross-checked against the sets' popcounts the
+           way a resume would — the crash matrix greps for the verdict. *)
+        let vcount = get_int_array "vcount" payload in
+        let ecount = get_int_array "ecount" payload in
+        let vpop = hex_popcounts "vseen" payload in
+        let epop = hex_popcounts "visited" payload in
+        if
+          Array.length vpop <> Array.length vcount
+          || Array.length epop <> Array.length ecount
+        then fail "bitset arrays do not match the counter arrays";
+        if vpop <> vcount || epop <> ecount then
+          fail
+            "stored visit counter disagrees with its bitset popcount \
+             (counter!=popcount)";
+        let most a = Array.fold_left max 0 a in
+        Ok
+          (Printf.sprintf
+             "%s: %s walk on n=%d m=%d, %d steps, %d walkers (cursor %d), \
+              %s%d/%d vertices %d/%d edges visited, counters verified \
+              (counter==popcount) proc=%s [run %s%s]"
+             schema kind n m (get_int "steps" payload)
+             (get_int "walkers" payload) (get_int "cursor" payload)
+             (if Array.length vcount > 1 then "best walker " else "")
+             (most vcount) n (most ecount) m (get_string "proc" payload)
+             run.Ewalk_obs.Runlog.run_id
+             (match run.Ewalk_obs.Runlog.parent_run_id with
+             | None -> ""
+             | Some p -> " parent " ^ p))
+      with Bad msg -> Error (Corrupt msg))

@@ -54,38 +54,30 @@ let build_walk (c : Proto.config) g rng =
       in
       Ok (Engine.build ~mode proc g rng ~walkers:c.walkers)
 
-let competing e = Engine.mode e = Engine.Competing
-
-let all_walkers_covered e =
-  let w = Engine.walkers e in
-  let rec go i = i >= w || (Engine.walker_cover_step e i <> None && go (i + 1)) in
+(* Loops over the walkers' coverages: the shared one in cooperating mode,
+   each walker's own in competing mode.  A walk is covered once every
+   coverage is; it reports its furthest coverage. *)
+let walk_covered e =
+  let rec go i =
+    i >= Engine.walkers e
+    || (Ewalk.Coverage.all_vertices_visited (Engine.walker_coverage e i)
+       && go (i + 1))
+  in
   go 0
 
-let walk_covered e =
-  if competing e then all_walkers_covered e
-  else Ewalk.Coverage.all_vertices_visited (Engine.coverage e)
-
 let summarize_walk e =
-  let s_vertices, s_edges =
-    if competing e then begin
-      (* Per-walker visited sets: report the furthest walker. *)
-      let v = ref 0 and d = ref 0 in
-      for i = 0 to Engine.walkers e - 1 do
-        v := max !v (Engine.walker_vertices_visited e i);
-        d := max !d (Engine.walker_edges_visited e i)
-      done;
-      (!v, !d)
-    end
-    else
-      let cov = Engine.coverage e in
-      (Ewalk.Coverage.vertices_visited cov, Ewalk.Coverage.edges_visited cov)
-  in
+  let v = ref 0 and d = ref 0 in
+  for i = 0 to Engine.walkers e - 1 do
+    let cov = Engine.walker_coverage e i in
+    v := max !v (Ewalk.Coverage.vertices_visited cov);
+    d := max !d (Ewalk.Coverage.edges_visited cov)
+  done;
   {
     s_steps = Engine.steps e;
     s_position = Engine.position e;
     s_covered = walk_covered e;
-    s_vertices;
-    s_edges;
+    s_vertices = !v;
+    s_edges = !d;
   }
 
 let summarize t =
@@ -235,8 +227,9 @@ let run_to_cover ?pool t ~cap =
   let cap =
     match cap with Some c -> c | None -> Ewalk.Cover.default_cap (Engine.graph e)
   in
-  if competing e then ignore (Engine.run_until_first_cover ?pool ~cap e)
-  else ignore (Engine.run_to_vertex_cover ~cap e);
+  (match Engine.mode e with
+  | Engine.Competing -> ignore (Engine.run_until_first_cover ?pool ~cap e)
+  | Engine.Cooperating -> ignore (Engine.run_to_vertex_cover ~cap e));
   Ok (Engine.steps e)
 
 (* -- trace streaming ------------------------------------------------------- *)

@@ -7,10 +7,11 @@
    - the {!Ewalk.Arc_marks} slot marks against a boolean-array model under
      any retirement order, on multigraphs with self-loops, parallel edges
      and regions wider than one machine word;
-   - the invariant that lets snapshots drop the marks: after every step of
-     an E-process (all three rules) and of a cooperating engine (W in
-     {1,4}) on generated pairing multigraphs, a slot is marked exactly
-     when coverage has seen its edge;
+   - the visited set: after every step of every engine process, one
+     walker or four, cooperating or competing, on generated pairing
+     multigraphs, each coverage's marks hold exactly the edges its
+     walkers have traversed, per a boolean-array model fed by the step
+     events;
    - the kernel engine's visited edges against the naive oracle after
      every step, per configuration, and competing run_rounds at jobs in
      {1,4}. *)
@@ -174,51 +175,50 @@ let prop_marks_model =
 
 (* -- marks = coverage after every step --------------------------------------- *)
 
-(* The invariant snapshots rely on to drop the marks: a blue step retires
-   the edge it takes and a red step only happens when every incident edge
-   is retired, so after every step the marks hold exactly the edges
-   coverage has seen.  Walkers run a fixed step budget, so disconnected
+(* Every process records each step on its walker's coverage, retiring an
+   edge in the marks on its first traversal: after every step each
+   coverage's marks, counts and flags hold exactly the edges its walkers
+   have traversed, per a boolean-array model (one row per coverage) fed by
+   the step events.  Walkers run a fixed step budget, so disconnected
    pairing multigraphs are fine. *)
 let prop_marks_track_coverage =
   QCheck.Test.make
-    ~name:"marks = coverage after every step (e-process rules, engine W=1,4)"
+    ~name:"marks = coverage after every step (every proc vs traversed edges, W=1,4)"
     ~count:120
-    QCheck.(quad (int_range 2 24) (int_range 2 7) (int_range 0 4) (int_range 0 1000))
-    (fun (n, r, walk, seed) ->
+    QCheck.(quad (int_range 2 24) (int_range 2 7) (int_range 0 23) (int_range 0 1000))
+    (fun (n, r, config, seed) ->
       let g = pairing seed ~n ~r in
-      let rng = Rng.create ~seed:(seed + 1) () in
-      let budget = (4 * Graph.m g) + 10 in
-      let agree marks cov =
-        marks_agree g marks (fun e -> Coverage.first_edge_visit cov e >= 0)
+      let proc =
+        Kengine.[| E_uar; E_lowest; E_highest; Srw; Lazy_srw; Rotor |].(config mod 6)
       in
-      let rec go k step marks cov =
-        k = 0 || (step (); agree marks cov && go (k - 1) step marks cov)
+      let mode = if config / 6 mod 2 = 0 then Kengine.Cooperating else Kengine.Competing in
+      let w = if config / 12 = 0 then 1 else 4 in
+      let starts = Array.init w (fun i -> (i * 5) mod Graph.n g) in
+      let e = Kengine.create ~mode proc g (Rng.create ~seed:(seed + 1) ()) ~starts in
+      let row wk = match mode with Kengine.Cooperating -> 0 | Kengine.Competing -> wk in
+      let model = Array.init w (fun _ -> Array.make (Graph.m g) false) in
+      Kengine.set_observer e
+        (Some
+           (fun ~walker ev ->
+             match ev with
+             | Ewalk_obs.Trace.Step { edge; _ } when edge >= 0 ->
+                 model.(row walker).(edge) <- true
+             | _ -> ()));
+      let agree wk =
+        let cov = Kengine.walker_coverage e wk and traversed = model.(row wk) in
+        marks_agree g (Coverage.marks cov) (Array.get traversed)
+        && Coverage.visited_edge_flags cov = traversed
+        && Coverage.edges_visited cov
+           = Array.fold_left (fun a x -> if x then a + 1 else a) 0 traversed
       in
-      match walk with
-      | 0 | 1 | 2 ->
-          let rule =
-            match walk with
-            | 0 -> Eprocess.Uar
-            | 1 -> Eprocess.Lowest_slot
-            | _ -> Eprocess.Highest_slot
-          in
-          let t = Eprocess.create ~rule g rng ~start:0 in
-          go budget
-            (fun () -> Eprocess.step t)
-            (Eprocess.marks t) (Eprocess.coverage t)
-      | _ ->
-          let w = if walk = 3 then 1 else 4 in
-          let starts = Array.init w (fun i -> (i * 5) mod Graph.n g) in
-          let proc =
-            match seed mod 3 with
-            | 0 -> Kengine.E_uar
-            | 1 -> Kengine.E_lowest
-            | _ -> Kengine.E_highest
-          in
-          let e = Kengine.create proc g rng ~starts in
-          go budget
-            (fun () -> Kengine.step e)
-            (Kengine.marks e) (Kengine.coverage e))
+      let rec go k =
+        k = 0
+        ||
+        let wk = Kengine.cursor e in
+        Kengine.step e;
+        agree wk && go (k - 1)
+      in
+      go ((4 * Graph.m g) + 10))
 
 (* -- kernel engine: visited edges vs the oracle, and jobs invariance --------- *)
 
@@ -233,10 +233,9 @@ let oracle_proc = function
 
 (* One engine configuration against the naive oracle in RNG lockstep:
    after every walker step the moved walker must stand where the oracle's
-   does, and the engine's visited edges — the shared marks, which must
-   equal coverage (cooperating e-process), coverage (cooperating rotor),
-   or the walker's private marks (competing) — must equal the oracle's
-   row, edge for edge. *)
+   does, and the visited edges of its coverage — the shared one
+   (cooperating) or its own (competing) — must equal the oracle's row,
+   edge for edge. *)
 let kernel_marks_case proc mode w () =
   let g = Exp_util.regular_graph (Rng.create ~seed:51 ()) ~n:64 ~d:4 in
   let starts = Array.init w (fun i -> (i * 7) mod Graph.n g) in
@@ -250,15 +249,7 @@ let kernel_marks_case proc mode w () =
       (oracle_proc proc) g (Rng.create ~seed:52 ()) ~starts
   in
   let engine_visited wk e =
-    match (mode, proc) with
-    | Kengine.Competing, _ -> Kengine.walker_edge_visited eng wk e
-    | Kengine.Cooperating, (Kengine.Srw | Kengine.Lazy_srw | Kengine.Rotor) ->
-        Coverage.edge_visited (Kengine.coverage eng) e
-    | Kengine.Cooperating, _ ->
-        let seen = Coverage.edge_visited (Kengine.coverage eng) e in
-        if Arc_marks.edge_retired (Kengine.marks eng) e <> seen then
-          Alcotest.failf "edge %d: marks disagree with coverage" e;
-        seen
+    Coverage.edge_visited (Kengine.walker_coverage eng wk) e
   in
   for step = 1 to 200 * w do
     let wk = Kengine.cursor eng in
@@ -285,12 +276,13 @@ let kernel_jobs_invariance () =
     Kengine.run_rounds ~pool e 500;
     ( Array.copy (Kengine.positions e),
       Array.init 4 (fun w ->
+          let cov = Kengine.walker_coverage e w in
           ( Kengine.walker_steps e w,
             Kengine.walker_blue_steps e w,
             Kengine.walker_red_steps e w,
-            Kengine.walker_vertices_visited e w,
-            Kengine.walker_edges_visited e w,
-            Kengine.walker_cover_step e w )) )
+            Coverage.vertices_visited cov,
+            Coverage.edges_visited cov,
+            Coverage.vertex_cover_step cov )) )
   in
   let pos1, st1 = run 1 and pos4, st4 = run 4 in
   Alcotest.(check (array int)) "positions identical at jobs 1 vs 4" pos1 pos4;

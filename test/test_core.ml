@@ -19,7 +19,6 @@ let coverage_basics () =
   Alcotest.(check int) "nothing visited" 0 (Coverage.vertices_visited c);
   Coverage.record_start c 0;
   Alcotest.(check bool) "start visited" true (Coverage.vertex_visited c 0);
-  Alcotest.(check int) "first visit at 0" 0 (Coverage.first_visit c 0);
   Coverage.record_edge c ~step:1 0;
   Coverage.record_move c ~step:1 1;
   Alcotest.(check int) "two vertices" 2 (Coverage.vertices_visited c);
@@ -73,12 +72,16 @@ let coverage_edge_traversals () =
   let c = Coverage.create g in
   Coverage.record_edge c ~step:1 0;
   Coverage.record_edge c ~step:2 0;
-  Alcotest.(check int) "traversed twice" 2 (Coverage.edge_traversals c 0);
-  Alcotest.(check int) "first traversal step" 1 (Coverage.first_edge_visit c 0);
-  Alcotest.(check (list int)) "edge 1 unvisited" [ 1 ]
-    (Coverage.unvisited_edges c);
+  Alcotest.(check int) "a repeat traversal counts once" 1
+    (Coverage.edges_visited c);
+  Alcotest.(check bool) "retired in the marks" true
+    (Ewalk.Arc_marks.edge_retired (Coverage.marks c) 0);
+  Alcotest.(check bool) "edge 1 unvisited" false (Coverage.edge_visited c 1);
   let flags = Coverage.visited_edge_flags c in
-  Alcotest.(check (array bool)) "flags" [| true; false |] flags
+  Alcotest.(check (array bool)) "flags" [| true; false |] flags;
+  Coverage.record_edge c ~step:5 1;
+  Alcotest.(check (option int)) "edge cover at the first traversal of the last"
+    (Some 5) (Coverage.edge_cover_step c)
 
 let coverage_empty_graph () =
   let g = Graph.of_edges ~n:0 [] in

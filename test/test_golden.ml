@@ -2,9 +2,10 @@
    cover plus 1000 steps on two stock graphs and two seeds, reduced to one
    line — cover step, final positions, blue/red step counts (read off the
    event stream), a digest of the full trace-event stream, and the
-   caller's generator words afterwards.  Two snapshots written by an
-   earlier build (one cooperating, one competing engine) must still load
-   and continue to their pinned digests.
+   caller's generator words afterwards.  Two committed snapshots (one
+   cooperating, one competing engine) must load and continue to their
+   pinned digests, and the same two states as the previous schema wrote
+   them must be refused, naming that schema.
 
    The pinned lines live in golden/trajectories.txt.  A refactor of the
    stepping code must leave every line unchanged: any difference means
@@ -129,9 +130,11 @@ let competing_line gname g seed =
     ~id:(Printf.sprintf "%s/seed=%d/engine-w4-competing" gname seed)
     ~cover ~positions:(Engine.positions eng) r ~rng_words:(Rng.save rng)
 
-(* Snapshots written by an earlier build: each must load on its graph and
-   continue to the pinned digest.  [rng] pins the walker lanes' words
-   after the continuation. *)
+(* Committed snapshots: each must load on its graph and continue to the
+   pinned digest.  [rng] pins the walker lanes' words after the
+   continuation.  They hold [Engine.create_spread E_uar] walks of three
+   walkers: cooperating on torus 6x5 from seed 5 after 150 steps, and
+   competing on lollipop 8-8 from seed 6 after 200 steps. *)
 let snapshots =
   [
     ("kernel", "golden/kernel.snapshot.json", Gen_classic.torus2d 6 5);
@@ -139,6 +142,24 @@ let snapshots =
       "golden/kernel-competing.snapshot.json",
       Gen_classic.lollipop 8 8 );
   ]
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* The same two states as schema /2 wrote them. *)
+let earlier_schema_refused () =
+  List.iter
+    (fun (_, path, g) ->
+      let v2 = Filename.chop_suffix path ".snapshot.json" ^ ".v2.snapshot.json" in
+      match Snapshot.read g ~path:v2 with
+      | Error (Snapshot.Mismatch msg) ->
+          Alcotest.(check bool) (v2 ^ " names its schema") true
+            (contains msg {|"ewalk-snapshot/2"|})
+      | Error e -> Alcotest.failf "%s: %s" v2 (Snapshot.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s: loaded" v2)
+    snapshots
 
 let snapshot_line (kind, path, g) =
   match Snapshot.read g ~path with
@@ -150,14 +171,10 @@ let snapshot_line (kind, path, g) =
       for _ = 1 to tail do
         Engine.step eng
       done;
-      let lanes =
-        match Engine.mode eng with
-        | Engine.Cooperating -> (Engine.checkpoint eng).Engine.ck_prng
-        | Engine.Competing -> (Engine.checkpoint_competing eng).Engine.cc_prng
-      in
       line
         ~id:(Printf.sprintf "snapshot/%s/from=%d" kind steps0)
-        ~cover:None ~positions:(Engine.positions eng) r ~rng_words:lanes
+        ~cover:None ~positions:(Engine.positions eng) r
+        ~rng_words:(Engine.checkpoint eng).Engine.ck_prng
   | Ok _ -> Alcotest.failf "%s: not a kernel snapshot" path
 
 let actual_lines () =
@@ -213,6 +230,8 @@ let () =
     [
       ( "trajectories",
         [ Alcotest.test_case "pinned at every run" `Quick trajectories_pinned ] );
+      ( "snapshots",
+        [ Alcotest.test_case "schema /2 refused" `Quick earlier_schema_refused ] );
       ( "experiments",
         [ Alcotest.test_case "tiny tables pinned" `Quick experiment_tables_pinned ] );
     ]

@@ -286,7 +286,7 @@ let w1_identity_rotor () =
   for v = 0 to Graph.n g - 1 do
     Alcotest.(check int)
       (Printf.sprintf "rotor offset at %d" v)
-      (Rotor.rotor_offset p v) (Engine.rotor_offset eng v)
+      (Rotor.rotor_offset p v) (Engine.rotor_offset eng 0 v)
   done
 
 (* Both constructions on every process, on generated graphs, shrunk by
@@ -459,16 +459,15 @@ let competing_pool_equals_sequential () =
       (Engine.walker_steps par w);
     Alcotest.(check int) "blue" (Engine.walker_blue_steps seq w)
       (Engine.walker_blue_steps par w);
-    Alcotest.(check int) "vertices" (Engine.walker_vertices_visited seq w)
-      (Engine.walker_vertices_visited par w);
-    Alcotest.(check int) "edges" (Engine.walker_edges_visited seq w)
-      (Engine.walker_edges_visited par w);
-    Alcotest.(check (option int)) "cover step" (Engine.walker_cover_step seq w)
-      (Engine.walker_cover_step par w);
-    for e = 0 to Graph.m g - 1 do
-      if Engine.walker_edge_visited seq w e <> Engine.walker_edge_visited par w e
-      then Alcotest.failf "visited-set mismatch: walker %d edge %d" w e
-    done
+    let cs = Engine.walker_coverage seq w and cp = Engine.walker_coverage par w in
+    Alcotest.(check int) "vertices" (Coverage.vertices_visited cs)
+      (Coverage.vertices_visited cp);
+    Alcotest.(check int) "edges" (Coverage.edges_visited cs)
+      (Coverage.edges_visited cp);
+    Alcotest.(check (option int)) "cover step" (Coverage.vertex_cover_step cs)
+      (Coverage.vertex_cover_step cp);
+    if Coverage.visited_edge_flags cs <> Coverage.visited_edge_flags cp then
+      Alcotest.failf "visited-set mismatch: walker %d" w
   done
 
 (* -- mutation kills ---------------------------------------------------------- *)
@@ -672,10 +671,33 @@ let checkpoint_rejects_corruption () =
     Engine.create_spread ~mode:Engine.Competing Engine.E_uar g
       (Rng.create ~seed:57 ()) ~walkers:2
   in
-  Alcotest.check_raises "competing needs checkpoint_competing"
+  Engine.run_rounds competing 200;
+  let cck = Engine.checkpoint competing in
+  Alcotest.(check bool) "competing round trip" true
+    (Engine.checkpoint (Engine.of_checkpoint g cck) = cck);
+  (* Walker 0 has covered: its cover step must stay set and within its
+     own clock. *)
+  let with_cover_step c =
+    let cov = Array.copy cck.Engine.ck_coverage in
+    cov.(0) <- { cov.(0) with Coverage.s_vertex_cover_step = c };
+    { cck with Engine.ck_coverage = cov }
+  in
+  Alcotest.check_raises "covered but no cover step"
     (Invalid_argument
-       "Engine.checkpoint: competing mode carries per-walker bitsets; use \
-        checkpoint_competing") (fun () -> ignore (Engine.checkpoint competing))
+       "Coverage.restore: vertex cover step -1 disagrees with the vertex set")
+    (fun () -> ignore (Engine.of_checkpoint g (with_cover_step (-1))));
+  Alcotest.check_raises "cover step past the walker's clock"
+    (Invalid_argument "Coverage.restore: vertex cover step 201 is past the clock 200")
+    (fun () -> ignore (Engine.of_checkpoint g (with_cover_step 201)));
+  (* After 30 steps the cooperating walkers have not seen every vertex. *)
+  let pos = Array.copy ck.Engine.ck_pos in
+  pos.(1) <- 0;
+  while Coverage.vertex_visited (Engine.coverage eng) pos.(1) do
+    pos.(1) <- pos.(1) + 1
+  done;
+  Alcotest.check_raises "position not marked seen"
+    (Invalid_argument "Engine.of_checkpoint: walker position not marked seen")
+    (fun () -> ignore (Engine.of_checkpoint g { ck with Engine.ck_pos = pos }))
 
 (* -- argument validation ----------------------------------------------------- *)
 
@@ -699,9 +721,9 @@ let create_validation () =
     (Invalid_argument "Engine.coverage: competing mode has no shared coverage")
     (fun () -> ignore (Engine.coverage competing));
   let coop = Engine.create Engine.E_uar g (rng ()) ~starts:[| 0 |] in
-  Alcotest.check_raises "cooperating has no private rows"
-    (Invalid_argument "Engine.walker_edge_visited: cooperating mode is shared")
-    (fun () -> ignore (Engine.walker_edge_visited coop 0 0))
+  Alcotest.check_raises "no such walker"
+    (Invalid_argument "Engine.walker_coverage: no such walker") (fun () ->
+      ignore (Engine.walker_coverage coop 1))
 
 (* -- competing first-cover --------------------------------------------------- *)
 
@@ -715,13 +737,14 @@ let competing_first_cover () =
   | None -> Alcotest.fail "no walker covered the hypercube"
   | Some (w, s) ->
       Alcotest.(check bool) "winner in range" true (w >= 0 && w < 4);
+      let cov w = Engine.walker_coverage eng w in
       Alcotest.(check (option int)) "winner's recorded cover step" (Some s)
-        (Engine.walker_cover_step eng w);
+        (Coverage.vertex_cover_step (cov w));
       Alcotest.(check int) "winner saw every vertex" (Graph.n g)
-        (Engine.walker_vertices_visited eng w);
+        (Coverage.vertices_visited (cov w));
       (* No loser covered strictly earlier. *)
       for w' = 0 to 3 do
-        match Engine.walker_cover_step eng w' with
+        match Coverage.vertex_cover_step (cov w') with
         | Some s' -> Alcotest.(check bool) "first" true (s' >= s)
         | None -> ()
       done

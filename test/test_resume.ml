@@ -233,7 +233,7 @@ let rotor_snapshot_roundtrip =
     (fun p -> Snapshot.Rotor p)
     (function Snapshot.Rotor p -> p | _ -> Alcotest.fail "wrong kind")
 
-(* -- kernel-competing snapshots (ewalk-snapshot/2, bit-packed sets) --------- *)
+(* -- kernel-competing snapshots (one visited set per walker) ---------------- *)
 
 module Kengine = Ewalk.Engine
 
@@ -244,9 +244,9 @@ let contains hay needle =
   in
   go 0
 
-(* Round trip a competing engine (per-walker bit-packed visited sets,
-   walker-local clocks) through the v2 "kernel-competing" payload kind and
-   continue live vs restored in lockstep. *)
+(* Round trip a competing engine (one visited set per walker, walker-local
+   clocks) through the "kernel-competing" payload kind and continue live vs
+   restored in lockstep. *)
 let competing_roundtrip proc () =
   let g = Exp_util.regular_graph (Rng.create ~seed:81 ()) ~n:48 ~d:4 in
   let e =
@@ -292,49 +292,20 @@ let competing_roundtrip proc () =
           (Printf.sprintf "walker %d blue" w)
           (Kengine.walker_blue_steps e w)
           (Kengine.walker_blue_steps q w);
+        let ce = Kengine.walker_coverage e w and cq = Kengine.walker_coverage q w in
         Alcotest.(check int)
           (Printf.sprintf "walker %d vertices" w)
-          (Kengine.walker_vertices_visited e w)
-          (Kengine.walker_vertices_visited q w);
+          (Coverage.vertices_visited ce) (Coverage.vertices_visited cq);
         Alcotest.(check int)
           (Printf.sprintf "walker %d edges" w)
-          (Kengine.walker_edges_visited e w)
-          (Kengine.walker_edges_visited q w);
+          (Coverage.edges_visited ce) (Coverage.edges_visited cq);
         Alcotest.(check (option int))
           (Printf.sprintf "walker %d cover step" w)
-          (Kengine.walker_cover_step e w)
-          (Kengine.walker_cover_step q w)
+          (Coverage.vertex_cover_step ce) (Coverage.vertex_cover_step cq);
+        Alcotest.(check (option int))
+          (Printf.sprintf "walker %d edge cover step" w)
+          (Coverage.edge_cover_step ce) (Coverage.edge_cover_step cq)
       done)
-
-(* The derived-counter contract: restore never trusts a serialized visit
-   counter it can recount from the bitset. *)
-let competing_counter_recount () =
-  let g = Exp_util.regular_graph (Rng.create ~seed:83 ()) ~n:32 ~d:4 in
-  let e =
-    Kengine.create ~mode:Kengine.Competing Kengine.E_uar g
-      (Rng.create ~seed:84 ())
-      ~starts:[| 0; 1 |]
-  in
-  for _ = 1 to 64 do
-    Kengine.step e
-  done;
-  let ck = Kengine.checkpoint_competing e in
-  (* Unmodified, the record restores. *)
-  ignore (Kengine.of_checkpoint_competing g ck : Kengine.t);
-  let tampered_v = { ck with Kengine.cc_vcount = Array.map succ ck.Kengine.cc_vcount } in
-  Alcotest.check_raises "vertex counter disagreeing with popcount rejected"
-    (Invalid_argument
-       "Engine.of_checkpoint_competing: stored visit counter disagrees with \
-        its bitset popcount")
-    (fun () -> ignore (Kengine.of_checkpoint_competing g tampered_v : Kengine.t));
-  let tampered_e = { ck with Kengine.cc_ecount = Array.map succ ck.Kengine.cc_ecount } in
-  Alcotest.check_raises "edge counter disagreeing with popcount rejected"
-    (Invalid_argument
-       "Engine.of_checkpoint_competing: stored visit counter disagrees with \
-        its bitset popcount")
-    (fun () -> ignore (Kengine.of_checkpoint_competing g tampered_e : Kengine.t))
-
-(* -- Snapshot rejection ----------------------------------------------------- *)
 
 let expect_error what pred = function
   | Ok _ -> Alcotest.failf "%s: accepted" what
@@ -346,6 +317,65 @@ let expect_error what pred = function
 let is_corrupt = function Snapshot.Corrupt _ -> true | _ -> false
 let is_mismatch = function Snapshot.Mismatch _ -> true | _ -> false
 let is_io = function Snapshot.Io _ -> true | _ -> false
+
+(* Rewrite a snapshot's payload and re-seal its CRC, as a writer of that
+   payload would have: what the reader then says is about the payload
+   alone. *)
+let reseal ?(schema = Snapshot.schema) path edit =
+  match Json.of_string (read_file path) with
+  | Error e -> Alcotest.failf "snapshot is not JSON: %s" e
+  | Ok doc -> (
+      match Json.member "payload" doc with
+      | Some (Json.Obj fields) ->
+          let payload = Json.to_string (Json.Obj (edit fields)) in
+          write_file path
+            (Printf.sprintf "{\"schema\":%s,\"crc32\":\"%s\",\"payload\":%s}\n"
+               (Json.to_string (Json.String schema))
+               (Crc32.to_hex (Crc32.string payload))
+               payload)
+      | _ -> Alcotest.fail "snapshot has no payload object")
+
+let expect_mismatch what ~mentions = function
+  | Error (Snapshot.Mismatch msg) ->
+      if not (contains msg mentions) then
+        Alcotest.failf "%s: mismatch message %S does not mention %S" what msg
+          mentions
+  | Error e -> Alcotest.failf "%s: wrong error %s" what (Snapshot.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+
+(* The derived-counter contract, for both kinds: a stored visit count
+   that disagrees with its set's popcount is refused by read (a Mismatch)
+   and reported by describe (Corrupt, the counter!=popcount verdict) —
+   restore never trusts a count it can recount. *)
+let competing_counter_recount () =
+  let g = Exp_util.regular_graph (Rng.create ~seed:83 ()) ~n:32 ~d:4 in
+  let path = temp_path ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun mode ->
+          let e =
+            Kengine.create ~mode Kengine.E_uar g (Rng.create ~seed:84 ())
+              ~starts:[| 0; 1 |]
+          in
+          Kengine.run_steps e 64;
+          List.iter
+            (fun field ->
+              ok_or_fail "write" (Snapshot.write ~path (Snapshot.Kernel e));
+              ok_or_fail "clean read" (Result.map ignore (Snapshot.read g ~path));
+              reseal path
+                (List.map (fun (key, v) ->
+                     match v with
+                     | Json.List (Json.Int c :: rest) when key = field ->
+                         (key, Json.List (Json.Int (c + 1) :: rest))
+                     | _ -> (key, v)));
+              expect_mismatch field ~mentions:"popcount" (Snapshot.read g ~path);
+              expect_error (field ^ " inspect") is_corrupt (Snapshot.describe ~path))
+            [ "vcount"; "ecount" ])
+        [ Kengine.Cooperating; Kengine.Competing ])
+
+(* -- Snapshot rejection ----------------------------------------------------- *)
 
 let snapshot_rejects_corruption () =
   let g = Exp_util.regular_graph (Rng.create ~seed:3 ()) ~n:20 ~d:4 in
@@ -371,7 +401,7 @@ let snapshot_rejects_corruption () =
       expect_error "tampered" is_corrupt (Snapshot.read g ~path);
       (* Unknown schema versions are refused, not guessed at. *)
       write_file path
-        (replace_once ~sub:"ewalk-snapshot/2" ~by:"ewalk-snapshot/999" original);
+        (replace_once ~sub:Snapshot.schema ~by:"ewalk-snapshot/999" original);
       expect_error "unknown schema" is_mismatch (Snapshot.read g ~path);
       (* Valid file, wrong graph. *)
       write_file path original;
@@ -387,37 +417,11 @@ let snapshot_rejects_corruption () =
       expect_error "missing file" is_io
         (Snapshot.read g ~path:(path ^ ".does-not-exist")))
 
-(* Rewrite a snapshot's payload and re-seal its CRC, as a writer of that
-   payload would have: what the reader then says is about the payload
-   alone. *)
-let reseal path edit =
-  match Json.of_string (read_file path) with
-  | Error e -> Alcotest.failf "snapshot is not JSON: %s" e
-  | Ok doc -> (
-      match Json.member "payload" doc with
-      | Some (Json.Obj fields) ->
-          let payload = Json.to_string (Json.Obj (edit fields)) in
-          write_file path
-            (Printf.sprintf "{\"schema\":%s,\"crc32\":\"%s\",\"payload\":%s}\n"
-               (Json.to_string (Json.String Snapshot.schema))
-               (Crc32.to_hex (Crc32.string payload))
-               payload)
-      | _ -> Alcotest.fail "snapshot has no payload object")
-
-let expect_mismatch what ~mentions = function
-  | Error (Snapshot.Mismatch msg) ->
-      if not (contains msg mentions) then
-        Alcotest.failf "%s: mismatch message %S does not mention %S" what msg
-          mentions
-  | Error e -> Alcotest.failf "%s: wrong error %s" what (Snapshot.error_to_string e)
-  | Ok _ -> Alcotest.failf "%s: accepted" what
-
 (* A snapshot written while the marks were a swap partition carries an
-   [unvisited] section, and its UAR draws indexed the partition's slot
-   order: it must be refused as a Mismatch, never continued under the
-   adjacency-order coupling.  Likewise a payload whose blue steps differ
-   from its edges seen, the one check restore makes before rebuilding the
-   marks from coverage. *)
+   [unvisited] section under schema /2, whose UAR draws indexed the
+   partition's slot order: it is refused as a Mismatch naming its schema,
+   never continued.  A /3 payload whose blue steps differ from its edges
+   seen is refused too. *)
 let snapshot_refuses_partition () =
   let g = Exp_util.regular_graph (Rng.create ~seed:3 ()) ~n:20 ~d:4 in
   let p = Eprocess.create g (Rng.create ~seed:4 ()) ~start:0 in
@@ -440,9 +444,10 @@ let snapshot_refuses_partition () =
         (fun (what, walk) ->
           ok_or_fail "write" (Snapshot.write ~path walk);
           ok_or_fail "clean read" (Result.map ignore (Snapshot.read g ~path));
-          reseal path (fun fields -> fields @ [ ("unvisited", partition) ]);
-          expect_mismatch what ~mentions:"swap-partition" (Snapshot.read g ~path);
-          expect_mismatch (what ^ " inspect") ~mentions:"swap-partition"
+          reseal ~schema:"ewalk-snapshot/2" path (fun fields ->
+              fields @ [ ("unvisited", partition) ]);
+          expect_mismatch what ~mentions:"\"ewalk-snapshot/2\"" (Snapshot.read g ~path);
+          expect_mismatch (what ^ " inspect") ~mentions:"\"ewalk-snapshot/2\""
             (Snapshot.describe ~path))
         [ ("e-process", Snapshot.Eprocess p); ("kernel", Snapshot.Kernel k) ];
       ok_or_fail "write" (Snapshot.write ~path (Snapshot.Eprocess p));
@@ -455,10 +460,9 @@ let snapshot_refuses_partition () =
       expect_mismatch "blue steps != edges seen" ~mentions:"edges seen"
         (Snapshot.read g ~path))
 
-(* Every walk now snapshots as "kernel" or "kernel-competing".  A payload
-   of a retired single-walker kind, written before every walk became an
-   engine, is refused as a Mismatch that names the kind — by read and by
-   describe alike. *)
+(* The single-walker kinds were retired before schema /3: a /1 or /2 file
+   carrying one is refused as a Mismatch that names its schema — by read
+   and by describe alike. *)
 let snapshot_refuses_retired_kinds () =
   let g = Exp_util.regular_graph (Rng.create ~seed:3 ()) ~n:20 ~d:4 in
   let p = Eprocess.create g (Rng.create ~seed:4 ()) ~start:0 in
@@ -468,15 +472,61 @@ let snapshot_refuses_retired_kinds () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       List.iter
-        (fun kind ->
+        (fun (schema, kind) ->
           ok_or_fail "write" (Snapshot.write ~path (Snapshot.Eprocess p));
-          reseal path
+          reseal ~schema path
             (List.map (fun (key, v) ->
                  if key = "kind" then (key, Json.String kind) else (key, v)));
-          let mentions = Printf.sprintf "%S" kind in
+          let mentions = Printf.sprintf "%S" schema in
           expect_mismatch kind ~mentions (Snapshot.read g ~path);
           expect_mismatch (kind ^ " inspect") ~mentions (Snapshot.describe ~path))
-        [ "eprocess"; "srw"; "lazy-srw"; "rotor" ])
+        [
+          ("ewalk-snapshot/1", "eprocess");
+          ("ewalk-snapshot/2", "srw");
+          ("ewalk-snapshot/2", "lazy-srw");
+          ("ewalk-snapshot/1", "rotor");
+        ])
+
+(* A covered walk's cover steps are checked on restore: each is set
+   exactly when its set is full, and then lies within the walk's clock.  A
+   resealed file breaking either rule is refused as a Mismatch, so a
+   resumed covered walk always knows when it covered. *)
+let snapshot_checks_cover_steps () =
+  let g = Exp_util.regular_graph (Rng.create ~seed:3 ()) ~n:20 ~d:4 in
+  let p = Eprocess.create g (Rng.create ~seed:4 ()) ~start:0 in
+  (match Ewalk.Cover.run_until_edge_cover (Eprocess.process p) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "walk did not cover");
+  Eprocess.run_steps p 10;
+  let steps = Eprocess.steps p in
+  let path = temp_path ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (field, value) ->
+          ok_or_fail "write" (Snapshot.write ~path (Snapshot.Eprocess p));
+          ok_or_fail "clean read" (Result.map ignore (Snapshot.read g ~path));
+          reseal path
+            (List.map (fun (key, v) ->
+                 if key = field then (key, Json.List [ Json.Int value ]) else (key, v)));
+          expect_mismatch
+            (Printf.sprintf "%s = %d" field value)
+            ~mentions:"cover step" (Snapshot.read g ~path))
+        [
+          ("cover_at", -1);
+          ("cover_at", steps + 1);
+          ("ecover_at", -1);
+          ("ecover_at", steps + 1);
+        ];
+      (* Mid-walk, a set cover step on an unfilled set is refused too. *)
+      let q = Eprocess.create g (Rng.create ~seed:4 ()) ~start:0 in
+      Eprocess.run_steps q 5;
+      ok_or_fail "write" (Snapshot.write ~path (Snapshot.Eprocess q));
+      reseal path
+        (List.map (fun (key, v) ->
+             if key = "cover_at" then (key, Json.List [ Json.Int 3 ]) else (key, v)));
+      expect_mismatch "early cover step" ~mentions:"cover step" (Snapshot.read g ~path))
 
 (* -- Snapshot run provenance ------------------------------------------------- *)
 
@@ -515,14 +565,12 @@ let snapshot_provenance () =
         (replace_once ~sub:"raaaaaaaaaaaaaaaa" ~by:"rZZZZZZZZZZZZZZZZ" original);
       expect_error "malformed run_id" is_corrupt
         (Result.map fst (Snapshot.read_with_id g ~path));
-      (* A provenance-free header (what a pre-run_id writer produced, here
-         down-converted to schema v1) still loads — with a deterministic
-         synthesized id. *)
+      (* A provenance-free header (what a writer with no ambient run
+         produces) still loads — with a deterministic synthesized id. *)
       Runlog.set_current None;
       ok_or_fail "plain write" (Snapshot.write ~path (Snapshot.Eprocess p));
-      write_file path
-        (replace_once ~sub:"ewalk-snapshot/2" ~by:"ewalk-snapshot/1"
-           (read_file path));
+      Alcotest.(check bool) "no run id written" false
+        (contains (read_file path) "run_id");
       match Snapshot.read_with_id g ~path with
       | Error e -> Alcotest.failf "legacy read: %s" (Snapshot.error_to_string e)
       | Ok (_, run) -> (
@@ -755,6 +803,8 @@ let () =
             snapshot_refuses_partition;
           Alcotest.test_case "refuses retired single-walker kinds" `Quick
             snapshot_refuses_retired_kinds;
+          Alcotest.test_case "checks cover steps" `Quick
+            snapshot_checks_cover_steps;
         ] );
       ( "campaign",
         [

@@ -309,10 +309,10 @@ let router_lifecycle () =
   Alcotest.(check int) "deleted is gone" 404 (status r);
   Alcotest.(check int) "no sessions left" 0 (Registry.session_count reg)
 
-(* A hibernated session whose snapshot was written under the swap-partition
-   coupling (it carries an [unvisited] section, CRC intact) cannot resume
-   draw-for-draw: rehydrating it answers a structured 409, and the daemon
-   keeps serving. *)
+(* A hibernated session whose snapshot was written by an earlier build —
+   under schema /2, here with the swap-partition coupling's [unvisited]
+   section, CRC intact — cannot resume draw-for-draw: rehydrating it
+   answers a structured 409, and the daemon keeps serving. *)
 let router_refuses_partition_snapshot () =
   with_registry @@ fun reg ->
   let h = Router.handler reg in
@@ -345,8 +345,9 @@ let router_refuses_partition_snapshot () =
           in
           let crc = Ewalk_resume.Crc32.(to_hex (string payload)) in
           let oc = open_out_bin path in
-          Printf.fprintf oc "{\"schema\":\"%s\",\"crc32\":\"%s\",\"payload\":%s}\n"
-            Ewalk_resume.Snapshot.schema crc payload;
+          Printf.fprintf oc
+            "{\"schema\":\"ewalk-snapshot/2\",\"crc32\":\"%s\",\"payload\":%s}\n"
+            crc payload;
           close_out oc
       | _ -> Alcotest.fail "snapshot has no payload object")
   | Error e -> Alcotest.fail e);
