@@ -14,15 +14,19 @@
 # resumed tail to be byte-identical to the corresponding tail of the
 # uninterrupted stream.  Corrupted snapshots must be rejected with exit 2.
 #
-# Kernel half: the same kill-and-resume discipline for a W=4 lockstep run —
-# cut at every checkpoint boundary, resume, and require the resumed step
-# stream to be byte-identical to the uninterrupted run's tail.
+# Kernel half: the same kill-and-resume discipline for a W=4 lockstep run
+# (one shared visited set, "kernel" snapshots) — cut at every checkpoint
+# boundary, resume, and require the resumed step stream to be
+# byte-identical to the uninterrupted run's tail.
 #
-# Competing half: the same matrix for a W=4 competing run (per-walker
-# bit-packed visited sets, "kernel-competing" snapshots), with one extra
-# assertion per boundary: checkpoint-inspect must report the stored
-# per-walker visit counters verified against the serialized bitsets'
-# popcounts (the counter==popcount verdict) before the leg is resumed.
+# Competing half: the same matrix for a W=4 competing run (one visited set
+# per walker, "kernel-competing" snapshots).
+#
+# At every snapshot of all three halves, before the leg is resumed,
+# checkpoint-inspect must report the stored visit counts verified against
+# the serialized sets' popcounts (the counter==popcount verdict).  The
+# snapshots an earlier schema (/2) wrote, kept in test/golden, must make
+# both checkpoint-inspect and --resume-from exit 2.
 #
 # Daemon half: SIGKILL an eprocd holding live and hibernated sessions,
 # restart it over the same state directory, and require every session
@@ -197,6 +201,9 @@ check
 check
 "$EPROC" checkpoint-inspect "$work/snap" | grep -q "run $hrun" \
   || fail "snapshot header run_id differs from head prologue ($hrun)"
+check
+"$EPROC" checkpoint-inspect "$work/snap" | grep -q 'counter==popcount' \
+  || fail "snapshot at $CUT lacks the counter==popcount verdict"
 trun=$(grep -o '"run_id":"r[0-9a-f]\{16\}"' "$work/tail.jsonl" \
   | head -1 | cut -d'"' -f4)
 check
@@ -258,6 +265,9 @@ while [ "$kcut" -lt "$KSTEPS" ]; do
   check
   [ -f "$work/ksnap" ] || fail "no kernel snapshot at the $kcut-step boundary"
   check
+  "$EPROC" checkpoint-inspect "$work/ksnap" | grep -q 'counter==popcount' \
+    || fail "kernel snapshot at $kcut lacks the counter==popcount verdict"
+  check
   "$EPROC" trace $KTR --resume-from "$work/ksnap" --out "$work/ktail.jsonl" \
     >/dev/null 2>&1 || fail "kernel resume from step $kcut failed"
   check
@@ -272,11 +282,10 @@ done
 expect_exit 0 "checkpoint-inspect reads a kernel snapshot" \
   "$EPROC" checkpoint-inspect "$work/ksnap"
 
-# --- competing kernel: private bit-packed sets, kill-and-resume -------------
-# Same discipline as above, on "kernel-competing" snapshots (per-walker
-# bitsets serialized as hex).  At every resume leg the snapshot must pass
-# checkpoint-inspect's recount: stored visit counters cross-checked
-# against the bitset popcounts, reported as counter==popcount.
+# --- competing kernel: one visited set per walker, kill-and-resume ----------
+# Same discipline as above, on "kernel-competing" snapshots (one edge and
+# vertex set per walker, serialized as hex), with the same recount at
+# every resume leg.
 
 CTR="$G --process e-process --walkers 4 --compete"
 CEVERY=50
@@ -351,6 +360,17 @@ expect_exit 2 "bit-flipped snapshot rejected by --resume-from" \
 
 expect_exit 2 "missing snapshot rejected" \
   "$EPROC" checkpoint-inspect "$work/no-such-snapshot"
+
+# --- snapshots of an earlier schema are refused -----------------------------
+
+GOLDEN=$(dirname "$0")/golden
+for old in kernel kernel-competing; do
+  expect_exit 2 "schema /2 $old snapshot rejected by checkpoint-inspect" \
+    "$EPROC" checkpoint-inspect "$GOLDEN/$old.v2.snapshot.json"
+  expect_exit 2 "schema /2 $old snapshot rejected by --resume-from" \
+    "$EPROC" trace $KTR --resume-from "$GOLDEN/$old.v2.snapshot.json" \
+    --out /dev/null
+done
 
 # --- eprocd: kill the daemon mid-session, restart, recover ------------------
 # Sessions live in a state directory: hibernated state (snapshot + meta)
