@@ -8,13 +8,15 @@ let word_bits = 56
 
 type t = {
   g : Graph.t;
+  slots : int; (* 2m *)
   bits : Bytes.t;
   last_load : int; (* the highest byte offset a word load may start at *)
 }
 
 let create g =
-  let bytes = (((2 * Graph.m g) + 7) / 8) + 8 in
-  { g; bits = Bytes.make bytes '\000'; last_load = bytes - 8 }
+  let slots = 2 * Graph.m g in
+  let bytes = ((slots + 7) / 8) + 8 in
+  { g; slots; bits = Bytes.make bytes '\000'; last_load = bytes - 8 }
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
@@ -104,7 +106,7 @@ let retire_edge t e =
   set_mark t (Graph.edge_slot t.g e 1)
 
 let slot_retired t p =
-  if p < 0 || p >= 2 * Graph.m t.g then invalid_arg "Arc_marks: slot out of range";
+  if p < 0 || p >= t.slots then invalid_arg "Arc_marks: slot out of range";
   marked t p
 
 let edge_retired t e = marked t (Graph.edge_slot t.g e 0)

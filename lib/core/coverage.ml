@@ -4,7 +4,7 @@ type t = {
   n : int;
   m : int;
   marks : Arc_marks.t; (* every traversed edge retired *)
-  seen : Bitset.t; (* every visited vertex *)
+  seen : Bytes.t; (* every visited vertex: a Bitset's bytes, LSB-first *)
   mutable vertices_seen : int;
   mutable edges_seen : int;
   mutable vertex_cover_step : int; (* -1 until covered *)
@@ -17,16 +17,23 @@ let create g =
     n;
     m;
     marks = Arc_marks.create g;
-    seen = Bitset.create n;
+    seen = Bitset.unsafe_bytes (Bitset.create n);
     vertices_seen = 0;
     edges_seen = 0;
     vertex_cover_step = (if n = 0 then 0 else -1);
     edge_cover_step = (if m = 0 then 0 else -1);
   }
 
+(* The vertex set's bit ops, inline on the step path. *)
+let seen_bit t v =
+  if v < 0 || v >= t.n then invalid_arg "Coverage: vertex out of range";
+  Char.code (Bytes.unsafe_get t.seen (v lsr 3)) land (1 lsl (v land 7))
+
 let record_move t ~step v =
-  if not (Bitset.get t.seen v) then begin
-    Bitset.set t.seen v;
+  if seen_bit t v = 0 then begin
+    let j = v lsr 3 in
+    Bytes.unsafe_set t.seen j
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.seen j) lor (1 lsl (v land 7))));
     t.vertices_seen <- t.vertices_seen + 1;
     if t.vertices_seen = t.n then t.vertex_cover_step <- step
   end
@@ -50,7 +57,7 @@ let vertex_fraction t =
 let edge_fraction t =
   if t.m = 0 then 1.0 else float_of_int t.edges_seen /. float_of_int t.m
 
-let vertex_visited t v = Bitset.get t.seen v
+let vertex_visited t v = seen_bit t v <> 0
 let edge_visited t e = Arc_marks.edge_retired t.marks e
 let vertices_visited t = t.vertices_seen
 let edges_visited t = t.edges_seen
@@ -75,7 +82,7 @@ type state = {
 let save t =
   {
     s_edges = Arc_marks.edge_set t.marks;
-    s_vertices = Bitset.copy t.seen;
+    s_vertices = Bitset.of_bytes ~len:t.n (Bytes.copy t.seen);
     s_vertex_cover_step = t.vertex_cover_step;
     s_edge_cover_step = t.edge_cover_step;
   }
@@ -108,7 +115,7 @@ let restore g ~clock s =
     n;
     m;
     marks = Arc_marks.of_edge_set g s.s_edges;
-    seen = Bitset.copy s.s_vertices;
+    seen = Bytes.copy (Bitset.unsafe_bytes s.s_vertices);
     vertices_seen;
     edges_seen;
     vertex_cover_step = s.s_vertex_cover_step;

@@ -24,6 +24,7 @@ and t = {
   proc : proc;
   mode : mode;
   cov : Coverage.t array; (* length 1 cooperating, one per walker competing *)
+  marks : Arc_marks.t array; (* each coverage's marks, at hand on the step path *)
   rotor : int array option; (* one row of n offsets per coverage, Rotor only *)
   pos : int array;
   lanes : Rng.t array; (* walker w draws from lanes.(w) *)
@@ -94,6 +95,7 @@ let make ~mode ~randomize_rotors proc g ~lanes ~starts =
     proc;
     mode;
     cov;
+    marks = Array.map Coverage.marks cov;
     rotor;
     pos = Array.copy starts;
     lanes;
@@ -258,7 +260,7 @@ let choose t w v ~start ~stop =
   let lane = lane t w in
   match t.proc with
   | E_uar | E_lowest | E_highest | E_adversarial _ ->
-      let marks = Coverage.marks t.cov.(row t w) in
+      let marks = t.marks.(row t w) in
       let k = Arc_marks.live marks ~start ~stop in
       let blue = k > 0 && not (skips_preference t) in
       record_phase_transition t w ~stamp:(stamp t w) ~vertex:v blue;
@@ -300,12 +302,13 @@ let step_walker t w =
   in
   if slot < 0 then emit_step t w ~step ~vertex:v ~edge:(-1) ~blue
   else begin
-    let cov = t.cov.(row t w) in
+    let r = row t w in
+    let cov = t.cov.(r) in
     let target = Graph.slot_vertex t.g slot in
     let e = Graph.slot_edge t.g slot in
     (* The slot the walker leaves by carries the edge's retired bit, in the
        region [choose] has just read. *)
-    if not (Arc_marks.slot_retired (Coverage.marks cov) slot) then
+    if not (Arc_marks.slot_retired t.marks.(r) slot) then
       Coverage.record_edge cov ~step e;
     t.pos.(dest t w) <- target;
     Coverage.record_move cov ~step target;
@@ -552,6 +555,7 @@ let of_checkpoint g ck =
     proc = ck.ck_proc;
     mode = ck.ck_mode;
     cov;
+    marks = Array.map Coverage.marks cov;
     rotor = Option.map Array.copy ck.ck_rotor;
     pos = Array.copy ck.ck_pos;
     lanes = restore_lanes ~walkers:w ck.ck_prng;
