@@ -32,8 +32,8 @@ let seen_bit t v =
 let record_move t ~step v =
   if seen_bit t v = 0 then begin
     let j = v lsr 3 in
-    Bytes.unsafe_set t.seen j
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.seen j) lor (1 lsl (v land 7))));
+    let byte = Char.code (Bytes.unsafe_get t.seen j) in
+    Bytes.unsafe_set t.seen j (Char.unsafe_chr (byte lor (1 lsl (v land 7))));
     t.vertices_seen <- t.vertices_seen + 1;
     if t.vertices_seen = t.n then t.vertex_cover_step <- step
   end
@@ -92,8 +92,9 @@ let save t =
 let check_cover_step ~what ~clock ~full step =
   if step < -1 || (step >= 0) <> full then
     invalid_arg
-      (Printf.sprintf "Coverage.restore: %s cover step %d disagrees with the %s set"
-         what step what);
+      (Printf.sprintf
+         "Coverage.restore: %s cover step %d disagrees with the %s set" what
+         step what);
   if step > clock then
     invalid_arg
       (Printf.sprintf "Coverage.restore: %s cover step %d is past the clock %d"

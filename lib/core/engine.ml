@@ -74,7 +74,8 @@ let make ~mode ~randomize_rotors proc g ~lanes ~starts =
   let cov = Array.init rows (fun _ -> Coverage.create g) in
   (match mode with
   | Cooperating -> Array.iter (Coverage.record_start cov.(0)) starts
-  | Competing -> Array.iteri (fun w v -> Coverage.record_start cov.(w) v) starts);
+  | Competing ->
+      Array.iteri (fun w v -> Coverage.record_start cov.(w) v) starts);
   (* Row r's rotor offsets draw from lane r, in vertex order. *)
   let rotor =
     if not (is_rotor proc) then None
@@ -251,7 +252,8 @@ let count_step t w ~blue =
   if blue then t.wblue.(w) <- t.wblue.(w) + 1 else t.wred.(w) <- t.wred.(w) + 1
 
 (* The pre-step clock stamped on phase events. *)
-let stamp t w = match t.mode with Cooperating -> t.gsteps | Competing -> t.wsteps.(w)
+let stamp t w =
+  match t.mode with Cooperating -> t.gsteps | Competing -> t.wsteps.(w)
 
 (* The one choice function: the slot walker [w] at [v] leaves by, or
    [-1] for a lazy stay.  It counts the step blue or red, so a caller
@@ -501,7 +503,9 @@ let of_checkpoint g ck =
     || Array.length ck.ck_phase <> w
     || Array.length ck.ck_coverage <> rows
   then fail "walker array length mismatch";
-  Array.iter (fun v -> if v < 0 || v >= n then fail "position out of range") ck.ck_pos;
+  Array.iter
+    (fun v -> if v < 0 || v >= n then fail "position out of range")
+    ck.ck_pos;
   if ck.ck_cursor < 0 || ck.ck_cursor >= w then fail "cursor out of range";
   Array.iteri
     (fun i s ->
@@ -511,18 +515,20 @@ let of_checkpoint g ck =
     ck.ck_wsteps;
   if Array.fold_left ( + ) 0 ck.ck_wsteps <> ck.ck_steps then
     fail "inconsistent step counters";
+  let row i = match ck.ck_mode with Cooperating -> 0 | Competing -> i in
   (* Each coverage is recounted and its cover steps checked against the
      clock that stamps it. *)
   let cov =
     Array.mapi
       (fun r s ->
         let clock =
-          match ck.ck_mode with Cooperating -> ck.ck_steps | Competing -> ck.ck_wsteps.(r)
+          match ck.ck_mode with
+          | Cooperating -> ck.ck_steps
+          | Competing -> ck.ck_wsteps.(r)
         in
         Coverage.restore g ~clock s)
       ck.ck_coverage
   in
-  let row i = match ck.ck_mode with Cooperating -> 0 | Competing -> i in
   Array.iteri
     (fun i v ->
       if not (Coverage.vertex_visited cov.(row i) v) then
@@ -542,7 +548,8 @@ let of_checkpoint g ck =
   (match ck.ck_rotor with
   | Some r ->
       if not (is_rotor ck.ck_proc) then fail "unexpected rotor state";
-      if Array.length r <> rows * n then fail "rotor array does not match the graph";
+      if Array.length r <> rows * n then
+        fail "rotor array does not match the graph";
       Array.iteri
         (fun i o ->
           let deg = Graph.degree g (i mod n) in
@@ -560,11 +567,13 @@ let of_checkpoint g ck =
     pos = Array.copy ck.ck_pos;
     lanes = restore_lanes ~walkers:w ck.ck_prng;
     cursor = ck.ck_cursor;
-    gsteps = (match ck.ck_mode with Cooperating -> ck.ck_steps | Competing -> 0);
+    gsteps =
+      (match ck.ck_mode with Cooperating -> ck.ck_steps | Competing -> 0);
     wsteps = Array.copy ck.ck_wsteps;
     wblue = Array.copy ck.ck_wblue;
     wred = Array.copy ck.ck_wred;
-    phase_kind = phase_field (fun (k, _, _) -> phase_code k) no_phase ck.ck_phase;
+    phase_kind =
+      phase_field (fun (k, _, _) -> phase_code k) no_phase ck.ck_phase;
     phase_stamp = phase_field (fun (_, s, _) -> s) 0 ck.ck_phase;
     phase_vertex = phase_field (fun (_, _, v) -> v) 0 ck.ck_phase;
     observer = None;
