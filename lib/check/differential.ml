@@ -353,8 +353,8 @@ let kernel_starts g w =
   let n = Graph.n g in
   Array.init w (fun i -> i * max 1 (n / w) mod n)
 
-(* A case stops once some walker's coverage is complete: the shared one
-   in cooperating mode, the first walker's own in competing mode. *)
+(* A case stops once some walker's coverage is complete — the shared one
+   in cooperating mode, any walker's own in competing mode. *)
 let kernel_stopped eng =
   let covered = ref false in
   for w = 0 to Engine.walkers eng - 1 do
