@@ -793,7 +793,7 @@ let trace_cmd =
           | None -> ()
         in
         if compete then begin
-          (* Competing kernel walkers have no shared coverage table, so the
+          (* Competing kernel walkers have no shared coverage, so the
              generic Cover loop does not apply: drive the engine directly,
              emitting its walker-interleaved step stream and checkpointing
              on the total-step clock.  The loop is sequential round-robin,

@@ -1,6 +1,6 @@
 (* Bytes-backed packed bit array.  One bit per index, LSB-first within
-   each byte — the layout of the walk engine's per-walker sets and of
-   their snapshot codec. *)
+   each byte — the layout of each coverage's vertex set and of the
+   snapshot codec. *)
 
 type t = { len : int; bits : Bytes.t }
 
@@ -60,7 +60,7 @@ let fill_all t =
 
 let reset t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
-(* Raw byte view for the walk engine's step loop. *)
+(* Raw byte view for the step path. *)
 let unsafe_bytes t = t.bits
 
 let of_bytes ~len bits =

@@ -131,7 +131,7 @@ val run_rounds : ?pool:Ewalk_par.Pool.t -> t -> int -> unit
     walker blocks run sharded across the pool's domains; the final state
     is identical to the sequential path at any job count (walkers are
     independent).  Cooperating mode always steps sequentially (the
-    shared marks impose the round-robin order).
+    shared coverage imposes the round-robin order).
     @raise Invalid_argument if [r < 0]. *)
 
 val run_until_first_cover :
