@@ -36,14 +36,15 @@ let steps = Engine.steps
 let blue_steps = Engine.blue_steps
 let red_steps = Engine.red_steps
 let coverage = Engine.coverage
-let marks t = Coverage.marks (Engine.coverage t)
 
 let blue_degree t v =
   let g = Engine.graph t in
-  Arc_marks.live (marks t) ~start:(Graph.adj_start g v)
-    ~stop:(Graph.adj_stop g v)
+  Arc_marks.live
+    (Coverage.marks (coverage t))
+    ~start:(Graph.adj_start g v) ~stop:(Graph.adj_stop g v)
 
-let unvisited_incident t v = Arc_marks.incident_edges (marks t) v
+let unvisited_incident t v =
+  Arc_marks.incident_edges (Coverage.marks (coverage t)) v
 let in_blue_phase t = blue_degree t (position t) > 0
 let step = Engine.step
 let run_steps = Engine.run_steps
