@@ -16,15 +16,14 @@ type proc =
   | Lazy_srw
   | Rotor
 
-(* One visited set per coverage: cooperating walkers share the one
-   coverage and rotor row, competing walkers own one each, so their state
-   slices are disjoint and walker blocks can run on separate domains. *)
+(* Cooperating walkers share the one coverage and rotor row, competing
+   walkers own one each, so their state slices are disjoint and walker
+   blocks can run on separate domains. *)
 and t = {
   g : Graph.t;
   proc : proc;
   mode : mode;
-  cov : Coverage.t array; (* length 1 cooperating, one per walker competing *)
-  marks : Arc_marks.t array; (* each coverage's marks, at hand on the step path *)
+  cov : visited array; (* length 1 cooperating, one per walker competing *)
   rotor : int array option; (* one row of n offsets per coverage, Rotor only *)
   pos : int array;
   lanes : Rng.t array; (* walker w draws from lanes.(w) *)
@@ -43,6 +42,13 @@ and t = {
   mutable phase_observer : (walker:int -> Trace.event -> unit) option;
   mutable fault : fault option;
 }
+
+(* A coverage with its marks at hand for the step path.  A record, so
+   that indexing an array of them is a plain load, where an array of an
+   abstract type is read through the float-array check. *)
+and visited = { set : Coverage.t; marks : Arc_marks.t }
+
+let visited set = { set; marks = Coverage.marks set }
 
 let prefers_unvisited = function
   | E_uar | E_lowest | E_highest | E_adversarial _ -> true
@@ -71,11 +77,11 @@ let make ~mode ~randomize_rotors proc g ~lanes ~starts =
   let walkers = Array.length starts in
   let n = Graph.n g in
   let rows = match mode with Cooperating -> 1 | Competing -> walkers in
-  let cov = Array.init rows (fun _ -> Coverage.create g) in
+  let cov = Array.init rows (fun _ -> visited (Coverage.create g)) in
   (match mode with
-  | Cooperating -> Array.iter (Coverage.record_start cov.(0)) starts
+  | Cooperating -> Array.iter (Coverage.record_start cov.(0).set) starts
   | Competing ->
-      Array.iteri (fun w v -> Coverage.record_start cov.(w) v) starts);
+      Array.iteri (fun w v -> Coverage.record_start cov.(w).set v) starts);
   (* Row r's rotor offsets draw from lane r, in vertex order. *)
   let rotor =
     if not (is_rotor proc) then None
@@ -96,7 +102,6 @@ let make ~mode ~randomize_rotors proc g ~lanes ~starts =
     proc;
     mode;
     cov;
-    marks = Array.map Coverage.marks cov;
     rotor;
     pos = Array.copy starts;
     lanes;
@@ -170,11 +175,11 @@ let row t w = match t.mode with Cooperating -> 0 | Competing -> w
 let walker_coverage t w =
   if w < 0 || w >= Array.length t.pos then
     invalid_arg "Engine.walker_coverage: no such walker";
-  t.cov.(row t w)
+  t.cov.(row t w).set
 
 let coverage t =
   match t.mode with
-  | Cooperating -> t.cov.(0)
+  | Cooperating -> t.cov.(0).set
   | Competing ->
       invalid_arg "Engine.coverage: competing mode has no shared coverage"
 
@@ -262,7 +267,7 @@ let choose t w v ~start ~stop =
   let lane = lane t w in
   match t.proc with
   | E_uar | E_lowest | E_highest | E_adversarial _ ->
-      let marks = t.marks.(row t w) in
+      let marks = t.cov.(row t w).marks in
       let k = Arc_marks.live marks ~start ~stop in
       let blue = k > 0 && not (skips_preference t) in
       record_phase_transition t w ~stamp:(stamp t w) ~vertex:v blue;
@@ -304,16 +309,15 @@ let step_walker t w =
   in
   if slot < 0 then emit_step t w ~step ~vertex:v ~edge:(-1) ~blue
   else begin
-    let r = row t w in
-    let cov = t.cov.(r) in
+    let v = t.cov.(row t w) in
     let target = Graph.slot_vertex t.g slot in
     let e = Graph.slot_edge t.g slot in
     (* The slot the walker leaves by carries the edge's retired bit, in the
        region [choose] has just read. *)
-    if not (Arc_marks.slot_retired t.marks.(r) slot) then
-      Coverage.record_edge cov ~step e;
+    if not (Arc_marks.slot_retired v.marks slot) then
+      Coverage.record_edge v.set ~step e;
     t.pos.(dest t w) <- target;
-    Coverage.record_move cov ~step target;
+    Coverage.record_move v.set ~step target;
     emit_step t w ~step ~vertex:target ~edge:e ~blue
   end
 
@@ -379,9 +383,11 @@ let run_until_first_cover ?pool ?(block = 64) ?cap t =
     invalid_arg "Engine.run_until_first_cover: competing mode only";
   let cap = match cap with Some c -> c | None -> Cover.default_cap t.g in
   let cover_at w =
-    Option.value (Coverage.vertex_cover_step t.cov.(w)) ~default:(-1)
+    Option.value (Coverage.vertex_cover_step t.cov.(w).set) ~default:(-1)
   in
-  let any () = Array.exists Coverage.all_vertices_visited t.cov in
+  let any () =
+    Array.exists (fun v -> Coverage.all_vertices_visited v.set) t.cov
+  in
   while (not (any ())) && t.wsteps.(0) < cap do
     let burst = min block (cap - t.wsteps.(0)) in
     run_rounds ?pool t burst
@@ -427,7 +433,7 @@ let process t =
         position = (fun () -> t.pos.(t.cursor));
         step = (fun () -> step t);
         steps_done = (fun () -> t.gsteps);
-        coverage = t.cov.(0);
+        coverage = t.cov.(0).set;
       }
 
 (* --- checkpointing ---------------------------------------------------- *)
@@ -485,7 +491,7 @@ let checkpoint t =
     ck_wblue = Array.copy t.wblue;
     ck_wred = Array.copy t.wred;
     ck_prng = save_lanes t;
-    ck_coverage = Array.map Coverage.save t.cov;
+    ck_coverage = Array.map (fun v -> Coverage.save v.set) t.cov;
     ck_rotor = Option.map Array.copy t.rotor;
     ck_phase = save_phases t;
   }
@@ -561,8 +567,7 @@ let of_checkpoint g ck =
     g;
     proc = ck.ck_proc;
     mode = ck.ck_mode;
-    cov;
-    marks = Array.map Coverage.marks cov;
+    cov = Array.map visited cov;
     rotor = Option.map Array.copy ck.ck_rotor;
     pos = Array.copy ck.ck_pos;
     lanes = restore_lanes ~walkers:w ck.ck_prng;
