@@ -7,6 +7,11 @@ type mode = Cooperating | Competing
 type phase_kind = Blue | Red
 type fault = Skip_preference | Reuse_prng_word | Torn_soa
 
+(* A coverage with its marks at hand for the step path.  A record, so
+   that indexing an array of them is a plain load, where an array of an
+   abstract type is read through the float-array check. *)
+type visited = { set : Coverage.t; marks : Arc_marks.t }
+
 type proc =
   | E_uar
   | E_lowest
@@ -42,11 +47,6 @@ and t = {
   mutable phase_observer : (walker:int -> Trace.event -> unit) option;
   mutable fault : fault option;
 }
-
-(* A coverage with its marks at hand for the step path.  A record, so
-   that indexing an array of them is a plain load, where an array of an
-   abstract type is read through the float-array check. *)
-and visited = { set : Coverage.t; marks : Arc_marks.t }
 
 let visited set = { set; marks = Coverage.marks set }
 
