@@ -563,9 +563,9 @@ let obs_overhead_paired () =
     Benchstat.paired_overhead ~base
       ~instrumented:(bench_eprocess_obs_metrics ()) ()
   in
-  (* Both observability paths are budgeted at <= 5% on the noise-floored
-     estimate: the null-sink bundle (contractually ~free) and, since the
-     sharded fast path, the metrics-collecting bundle too. *)
+  (* Both observability bundles are budgeted at <= 5% on the noise-floored
+     estimate: the null-sink bundle (contractually ~free) and the
+     metrics-collecting one, which drains counters in batches. *)
   let null_ok =
     null_oh.Benchstat.raw_percent >= -2.0 && null_oh.Benchstat.percent <= 5.0
   in

@@ -837,28 +837,10 @@ let trace_cmd =
             in
             go 0
           in
-          Obs.Trace.emit sink
-            (Obs.Trace.Run_start
-               {
-                 name = Engine.name eng;
-                 n = Graph.n g;
-                 m = Graph.m g;
-                 start = Engine.position eng;
-               });
-          (match Obs.Runlog.current () with
-          | Some r ->
-              Obs.Trace.emit sink
-                (Obs.Trace.Run_info
-                   {
-                     run_id = r.Obs.Runlog.run_id;
-                     parent_run_id = r.Obs.Runlog.parent_run_id;
-                   })
-          | None -> ());
-          Option.iter
-            (fun step -> Obs.Trace.emit sink (Obs.Trace.Resume { step }))
-            resumed_at;
-          Engine.set_observer eng
-            (Some (fun ~walker:_ ev -> Obs.Trace.emit sink ev));
+          Obs.Trace.prologue (Obs.Trace.emit sink) ?resumed_at
+            ~name:(Engine.name eng) ~n:(Graph.n g) ~m:(Graph.m g)
+            ~start:(Engine.position eng);
+          Observe.attach obs eng;
           (match checkpoint with
           | Some path -> Obs.Runlog.note_artifact ~key:"checkpoint" ~path
           | None -> ());
@@ -887,6 +869,7 @@ let trace_cmd =
             | _ -> ()
           done;
           let covered = all_covered () in
+          Observe.flush obs;
           Obs.Trace.emit sink
             (Obs.Trace.Run_end { steps = Engine.steps eng; covered });
           Obs.Trace.close sink;
@@ -1538,23 +1521,12 @@ let read_throughput_pairs path =
 let run_pairs meta =
   read_throughput_pairs (Filename.concat meta.rm_dir "throughput.jsonl")
 
-let median_of_sorted arr =
-  let n = Array.length arr in
-  if n = 0 then None
-  else if n mod 2 = 1 then Some arr.(n / 2)
-  else Some ((arr.(n / 2 - 1) +. arr.(n / 2)) /. 2.0)
-
 (* (median, MAD) of a rate sample — the robust pair `runs compare` reports
    (a stalled tail or warm-up spike should not move the verdict). *)
 let median_mad xs =
-  let arr = Array.of_list xs in
-  Array.sort compare arr;
-  match median_of_sorted arr with
-  | None -> None
-  | Some med ->
-      let dev = Array.map (fun v -> Float.abs (v -. med)) arr in
-      Array.sort compare dev;
-      Some (med, Option.value ~default:0.0 (median_of_sorted dev))
+  match Array.of_list xs with
+  | [||] -> None
+  | arr -> Some (Obs.Benchstat.median arr, Obs.Benchstat.mad arr)
 
 let rate_string = function
   | Some r -> Printf.sprintf "%.0f" r

@@ -20,21 +20,13 @@ let default_cap g =
    expects of a partial stream. *)
 let flight_run_start p =
   if Ewalk_obs.Flight.ambient_active () then begin
-    let n = Coverage.total_vertices p.coverage
-    and m = Coverage.total_edges p.coverage in
-    Ewalk_obs.Flight.record
-      (Ewalk_obs.Trace.Run_start { name = p.name; n; m; start = p.position () });
-    (match Ewalk_obs.Runlog.current () with
-    | Some r ->
-        Ewalk_obs.Flight.record
-          (Ewalk_obs.Trace.Run_info
-             {
-               run_id = r.Ewalk_obs.Runlog.run_id;
-               parent_run_id = r.Ewalk_obs.Runlog.parent_run_id;
-             })
-    | None -> ());
     let k = p.steps_done () in
-    if k > 0 then Ewalk_obs.Flight.record (Ewalk_obs.Trace.Resume { step = k })
+    Ewalk_obs.Trace.prologue Ewalk_obs.Flight.record
+      ?resumed_at:(if k > 0 then Some k else None)
+      ~name:p.name
+      ~n:(Coverage.total_vertices p.coverage)
+      ~m:(Coverage.total_edges p.coverage)
+      ~start:(p.position ())
   end
 
 let flight_run_end p =

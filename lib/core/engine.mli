@@ -155,8 +155,8 @@ val set_observer : t -> (walker:int -> Ewalk_obs.Trace.event -> unit) option -> 
 
 val set_phase_observer :
   t -> (walker:int -> Ewalk_obs.Trace.event -> unit) option -> unit
-(** Phase-boundary-only observer (the metrics fast path): fires once per
-    maximal blue/red run of each walker, not per step. *)
+(** Phase-boundary-only observer (what [Observe] counts phases on): fires
+    once per maximal blue/red run of each walker, not per step. *)
 
 val set_fault : t -> fault option -> unit
 (** Test-only: inject a deliberate defect into the step functions so the

@@ -18,22 +18,19 @@
 
     {b Cost model.}  The no-op bundle (no metrics, null sink) is free on
     the hot path: the native attach is skipped outright and
-    {!instrument} adds only an integer comparison per step.  The
-    {e metrics fast path} (metrics present, null sink) is nearly as
-    cheap: no per-step event is allocated and no observer closure
-    installed — step counters drain in batches from the engine's
-    native counters (every 4096 steps and at {!finish}) into
-    {!Ewalk_obs.Shard} per-domain cells, and phase accounting rides the
-    phase-boundary observer ({!Engine.set_phase_observer}), which
-    fires once per maximal blue/red run, not per step.  Only a live sink
-    pays for per-step events.  The bench harness guards both the
-    null-sink and the metrics-enabled overhead at under 5% on the
-    E-process stepping kernel.
+    {!instrument} returns the process untouched.  Metrics cost one path
+    whatever the sink: no per-step event is built for them and no step
+    pays an atomic, a mutex or a domain-local lookup.  The per-trial view
+    holds every unpublished value — step counters drain as deltas of the
+    engine's native counters, and phases are counted into plain ints by
+    the phase-boundary observer ({!Engine.set_phase_observer}), which
+    fires once per maximal blue/red run, not per step — and publishes
+    them into the registry every 4096 steps and at {!flush}/{!finish}.
+    Only a live sink pays for per-step events, which it merely receives.
 
-    Because counters flow through {!Ewalk_obs.Shard} and registry reads
-    flush pending shards first, [Metrics.snapshot] is exact at any
-    quiescent point; mid-run reads (the [--listen] endpoint) lag the
-    walk by at most one drain interval. *)
+    A registry read between drains therefore lags the walk by at most one
+    drain interval (a competing engine, which has no {!instrument} hook,
+    publishes at {!flush}); after {!finish} or {!flush} it is exact. *)
 
 module Metrics = Ewalk_obs.Metrics
 module Trace = Ewalk_obs.Trace
@@ -58,32 +55,29 @@ val sink : t -> Trace.sink
 val is_noop : t -> bool
 (** True iff there is nothing to record (no metrics, null sink). *)
 
-val is_fast : t -> bool
-(** True iff the bundle is on the metrics fast path: metrics present,
-    null sink — batch-drained native counters instead of per-step
-    events. *)
-
 val attach : t -> Engine.t -> unit
-(** Install a walk engine's observation (no-op on a no-op bundle).  On
-    the metrics fast path (metrics, null sink) it registers batch drains
-    over the engine's native step counters — aggregate [blue_steps]/
-    [red_steps], plus name-encoded per-walker series
-    ([blue_steps_walker_i], see {!Ewalk_obs.Metrics.with_label}) when
-    [1 < W <= 32] — and installs only the phase-boundary observer;
-    nothing is allocated per step.  With a live sink it installs the
-    bundle's event interpreter as the engine's per-step observer, folding
-    the per-walker counters in on the side.  Engines with more than one
-    walker also publish a [kernel_walkers] gauge. *)
+(** Install a walk engine's observation (no-op on a no-op bundle).  A
+    live sink receives the engine's [Step] and [Phase] events as they
+    happen.  With metrics, the view registers drains over the engine's
+    native step counters — aggregate [blue_steps]/[red_steps], plus
+    name-encoded per-walker series ([blue_steps_walker_i], see
+    {!Ewalk_obs.Metrics.with_label}) when [1 < W <= 32] — and counts
+    [phases_blue], [phases_red] and the [phase_length] histogram through
+    the phase-boundary observer.  A phase's length is counted in its
+    walker's own steps, from that walker's previous phase boundary.
+    Engines with more than one walker also publish a [kernel_walkers]
+    gauge. *)
 
 val attach_eprocess : t -> Eprocess.t -> unit
 (** {!attach}, under the name the end-to-end benchmark calls. *)
 
 val instrument : ?resumed_at:int -> t -> Cover.process -> Cover.process
-(** Generic wrapper: emits [Run_start] immediately when the sink is live
-    (plus any milestone already crossed at attach time — the start
-    vertex counts), then after every transition updates the
-    process-agnostic metrics and emits milestone events as coverage
-    crosses 25/50/75/100%.  Each call carries its own milestone state,
+(** Generic wrapper: emits the run prologue ({!Ewalk_obs.Trace.prologue})
+    immediately when the sink is live (plus any milestone already crossed
+    at attach time — the start vertex counts), then emits milestone
+    events as coverage crosses 25/50/75/100%, and publishes the
+    process-agnostic metrics at the view's drain cadence.  Each call
+    carries its own milestone state,
     so instrument each process (or trial) with a fresh {!for_trial}
     view.
 
@@ -94,12 +88,11 @@ val instrument : ?resumed_at:int -> t -> Cover.process -> Cover.process
     stays verifiable by {!Ewalk_check.Replay}. *)
 
 val flush : t -> unit
-(** Run the view's pending drains and flush the shards without touching
-    process-specific state — the end-of-run publish for runs that have no
-    {!Cover.process} adapter (a competing-mode engine). *)
+(** Run the view's drains without touching process-specific state — the
+    end-of-run publish for runs that have no {!Cover.process} adapter (a
+    competing-mode engine). *)
 
 val finish : t -> Cover.process -> unit
-(** Run the view's pending drains, flush the shards, push the final
-    gauge values (stamped with the view's trial index), and emit
-    [Run_end] when the sink is live.  Call once per instrumented run,
-    on the lane that ran it. *)
+(** Run the view's drains, push the final gauge values (stamped with the
+    view's trial index), and emit [Run_end] when the sink is live.  Call
+    once per instrumented run, on the lane that ran it. *)

@@ -58,8 +58,9 @@ let run_timed ?pool ?walkers e ~scale ~seed =
     | Some w, Some f -> f ~pool ~scale ~seed ~walkers:w
     | _ -> e.run ~pool ~scale ~seed
   in
-  let table, span = Ewalk_obs.Timer.with_span e.id go in
-  (table, Ewalk_obs.Timer.elapsed span)
+  let t0 = Ewalk_obs.Clock.now_ns () in
+  let table = go () in
+  (table, Ewalk_obs.Clock.elapsed_s t0)
 
 let record_run metrics e ~table ~seconds =
   let open Ewalk_obs.Metrics in

@@ -28,11 +28,11 @@ val run_timed :
   ?pool:Ewalk_par.Pool.t ->
   ?walkers:int ->
   entry -> scale:Sweep.scale -> seed:int -> Table.t * float
-(** Run one experiment under an {!Ewalk_obs.Timer} span (and an ambient
-    {!Ewalk_obs.Prof} span [experiment:<id>] when profiling is enabled);
-    returns the table and the wall seconds it took.  With [pool], trial
-    sweeps shard across its domains (tables stay bit-identical to the
-    sequential run).  [walkers] engages the entry's [run_walkers] hook
+(** Run one experiment (under an ambient {!Ewalk_obs.Prof} span
+    [experiment:<id>] when profiling is enabled); returns the table and
+    the wall seconds it took on the monotonic {!Ewalk_obs.Clock}.  With
+    [pool], trial sweeps shard across its domains (tables stay
+    bit-identical to the sequential run).  [walkers] engages the entry's [run_walkers] hook
     when it has one and is ignored otherwise. *)
 
 val record_run :

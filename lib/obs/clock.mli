@@ -3,10 +3,10 @@
     Readings come from [CLOCK_MONOTONIC] (via the [bechamel.monotonic_clock]
     stub already in the build), so durations can never go backwards under
     NTP slew or wall-clock adjustment — the property every span duration,
-    profiler node, and bench repetition in this repo relies on.  Use
-    {!Timer.now} when an {e epoch} timestamp is genuinely wanted (ledger
-    records, log lines); use this module for every elapsed-time
-    measurement. *)
+    profiler node, progress line and bench repetition in this repo relies
+    on.  Use [Unix.gettimeofday] only when an {e epoch} timestamp is
+    genuinely wanted (ledger records); use this module for every
+    elapsed-time measurement. *)
 
 val now_ns : unit -> int
 (** Nanoseconds since an arbitrary (per-boot) origin.  Fits comfortably in

@@ -13,7 +13,7 @@
     Two recording modes, used by [eproc]:
     - {e ambient} (default while enabled): [Cover.run_until] records just
       the run boundary events — one enabled-check per run, zero per-step
-      cost, so the always-on metrics fast path stays fast;
+      cost, so an always-on recorder costs a metrics run nothing per step;
     - {e sink wrap} ({!wrap}): every event an existing sink sees is also
       recorded (full per-step fidelity — [eproc trace]); wrapping turns
       ambient recording off so the stream is not duplicated.

@@ -29,7 +29,8 @@ let git_rev () =
 let make ?timestamp ?git_rev:rev ?run_id ~scale ~jobs ~kernels () =
   {
     schema = schema_version;
-    timestamp = (match timestamp with Some t -> t | None -> Timer.now ());
+    timestamp =
+      (match timestamp with Some t -> t | None -> Unix.gettimeofday ());
     git_rev = (match rev with Some r -> r | None -> git_rev ());
     scale;
     jobs;

@@ -52,9 +52,9 @@ val make :
   kernels:(string * kernel) list ->
   unit ->
   record
-(** Defaults: [timestamp] = {!Timer.now}[ ()], [git_rev] = {!git_rev}[ ()],
-    [run_id] = the ambient {!Runlog.run_id} (or [""]).  Kernels are sorted
-    by name. *)
+(** Defaults: [timestamp] = [Unix.gettimeofday ()] (epoch seconds),
+    [git_rev] = {!git_rev}[ ()], [run_id] = the ambient {!Runlog.run_id}
+    (or [""]).  Kernels are sorted by name. *)
 
 val git_rev : unit -> string
 (** [git rev-parse --short HEAD], or ["unknown"] outside a git checkout. *)

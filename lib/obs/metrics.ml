@@ -181,8 +181,9 @@ let observe h x =
 
 let hist_bounds h = Array.copy h.bounds
 
-(* Batched merge from a shard cell (Shard.flush): one lock round-trip for a
-   whole cell's worth of observations instead of one per observation. *)
+(* Batched merge of observations counted elsewhere (an Observe view's phase
+   lengths): one lock round-trip for the whole batch instead of one per
+   observation. *)
 let hist_merge h ~bucket_counts ~count ~sum ~min ~max =
   if Array.length bucket_counts <> Array.length h.bucket_counts then
     invalid_arg "Metrics.hist_merge: bucket count mismatch";
@@ -245,16 +246,7 @@ type view =
       hv_inf : int;
     }
 
-(* Called before every whole-registry read so layered fast paths
-   (Ewalk_obs.Shard) can publish pending per-domain values first, keeping
-   [instruments] / [snapshot] exact without the readers knowing about
-   shards.  One global hook: shards are process-global too, and the hook
-   flushes every shard regardless of registry. *)
-let pre_read_hook : (unit -> unit) Atomic.t = Atomic.make (fun () -> ())
-let set_pre_read_hook f = Atomic.set pre_read_hook f
-
 let instruments t =
-  (Atomic.get pre_read_hook) ();
   Mutex.lock t.t_mutex;
   let entries =
     Hashtbl.fold (fun name instr acc -> (name, instr) :: acc) t.instruments []
@@ -285,7 +277,6 @@ let instruments t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let snapshot t =
-  (Atomic.get pre_read_hook) ();
   Mutex.lock t.t_mutex;
   let entries =
     Hashtbl.fold (fun name instr acc -> (name, instr) :: acc) t.instruments []

@@ -1,10 +1,9 @@
 (** A registry of named counters, gauges, and histograms.
 
     One registry per run (or per trial batch — counters accumulate across
-    attached processes, so a multi-trial sweep sums naturally).  All
-    instruments are cheap enough to update on a per-step hot path: a counter
-    bump is one mutable-field increment, a histogram observation a bucket
-    scan over a handful of bounds.
+    attached processes, so a multi-trial sweep sums naturally).  A counter
+    bump is one atomic add, a histogram observation a bucket scan over a
+    handful of bounds under the histogram's lock.
 
     {!snapshot} serialises the whole registry to a deterministic JSON value
     (instruments sorted by name), which is what [eproc --metrics FILE]
@@ -20,11 +19,10 @@
     index), which resolves races as last-by-sequence regardless of domain
     scheduling.
 
-    For per-step hot paths shared across pool lanes, prefer the
-    {!Shard} wrappers: per-domain cells with batched flush into this
-    registry.  {!instruments} and {!snapshot} run a pre-read hook
-    ({!set_pre_read_hook}) so sharded values are always published before a
-    registry read — snapshots stay exact. *)
+    Per-step hot paths do not update instruments directly: they count in
+    plain ints of their own and publish batches with {!add} and
+    {!hist_merge} ([Ewalk.Observe] drains every 4096 steps), so a read
+    sees what has been published. *)
 
 type t
 (** The registry. *)
@@ -90,8 +88,8 @@ val hist_merge :
   min:float ->
   max:float ->
   unit
-(** Merge a pre-aggregated batch (one shard cell's pending observations)
-    under the histogram lock.  [bucket_counts] must have length
+(** Merge a pre-aggregated batch of observations under the histogram
+    lock.  [bucket_counts] must have length
     [Array.length (hist_bounds h) + 1] (trailing [+inf] bucket).  A batch
     with [count = 0] is a no-op.
     @raise Invalid_argument on layout mismatch or negative count. *)
@@ -116,14 +114,7 @@ type view =
 val instruments : t -> (string * view) list
 (** A consistent, name-sorted snapshot of every registered instrument —
     the exporter's ({!Export}) view of the registry.  Histogram fields are
-    copied under the histogram's own lock.  Runs the pre-read hook first. *)
-
-val set_pre_read_hook : (unit -> unit) -> unit
-(** Install the process-global hook run at the top of {!instruments} and
-    {!snapshot}.  {!Shard} installs a flush-all here so sharded pending
-    values are published before any registry read; last installer wins.
-    The hook must be safe to call from any domain and must not read the
-    registry through {!instruments}/{!snapshot} (it would recurse). *)
+    copied under the histogram's own lock. *)
 
 val snapshot : t -> Json.t
 (** Deterministic snapshot:

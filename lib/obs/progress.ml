@@ -4,13 +4,13 @@
 
 type t = {
   out : out_channel;
-  interval : float;
+  interval_ns : int;
   total : int;
   label : string;
-  started : float;
+  started : int; (* Clock.now_ns at creation *)
   mutex : Mutex.t;
   mutable done_ : int;
-  mutable last_print : float;
+  mutable next_print : int; (* the first tick prints at once *)
   mutable finished : bool;
 }
 
@@ -20,21 +20,22 @@ let enabled () =
   | _ -> false
 
 let create ?(out = stderr) ?(interval = 1.0) ~total ~label () =
+  let started = Clock.now_ns () in
   {
     out;
-    interval;
+    interval_ns = int_of_float (interval *. 1e9);
     total;
     label;
-    started = Timer.now ();
+    started;
     mutex = Mutex.create ();
     done_ = 0;
-    last_print = 0.0;
+    next_print = started;
     finished = false;
   }
 
 (* Caller holds [t.mutex]. *)
 let print_locked t =
-  let elapsed = Timer.now () -. t.started in
+  let elapsed = Clock.elapsed_s t.started in
   let pct =
     if t.total <= 0 then 100.0
     else 100.0 *. float_of_int t.done_ /. float_of_int t.total
@@ -45,9 +46,9 @@ let print_locked t =
 let tick ?(amount = 1) t =
   Mutex.lock t.mutex;
   t.done_ <- t.done_ + amount;
-  let now = Timer.now () in
-  if now -. t.last_print >= t.interval then begin
-    t.last_print <- now;
+  let now = Clock.now_ns () in
+  if now >= t.next_print then begin
+    t.next_print <- now + t.interval_ns;
     print_locked t
   end;
   Mutex.unlock t.mutex

@@ -1,5 +1,5 @@
 (* The steps/second sampler: a small ring of (cumulative steps,
-   monotonic ns) pairs fed from the observation fast path's drain (once
+   monotonic ns) pairs fed from the observation view's drain (once
    every ~4096 steps per trial, never per step), yielding a windowed
    recent rate — what /progress serves and what the `eproc runs` views
    summarise — plus an optional JSONL spill to runs/<id>/throughput.jsonl.

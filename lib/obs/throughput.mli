@@ -1,7 +1,7 @@
 (** Low-overhead steps/second sampling.
 
     A process-global ring of (cumulative steps, monotonic ns) pairs fed
-    by the observation fast path's batch drain — {!add} is called once
+    by the observation view's batch drain — {!add} is called once
     every ~4096 steps per trial, never per step, and retains at most one
     sample per 10 ms — yielding a {e windowed} recent rate (what
     [/progress] serves) alongside the lifetime average, an optional

@@ -20,6 +20,16 @@ type event =
 let phase_name = function Blue -> "blue" | Red -> "red"
 let milestone_name = function Vertices -> "vertices" | Edges -> "edges"
 
+let prologue ?resumed_at emit ~name ~n ~m ~start =
+  emit (Run_start { name; n; m; start });
+  (match Runlog.current () with
+  | Some r ->
+      emit
+        (Run_info
+           { run_id = r.Runlog.run_id; parent_run_id = r.Runlog.parent_run_id })
+  | None -> ());
+  Option.iter (fun step -> emit (Resume { step })) resumed_at
+
 let event_to_json = function
   | Run_start { name; n; m; start } ->
       Json.Obj

@@ -47,6 +47,19 @@ type event =
           and per-step events in this trace resume at [step + 1]. *)
   | Run_end of { steps : int; covered : bool }
 
+val prologue :
+  ?resumed_at:int ->
+  (event -> unit) ->
+  name:string ->
+  n:int ->
+  m:int ->
+  start:int ->
+  unit
+(** [prologue emit ~name ~n ~m ~start] writes a run's opening events
+    through [emit]: [Run_start], then [Run_info] when a {!Runlog} run is
+    current, then [Resume {step}] when [resumed_at] is [Some step].  Every
+    stream and flight record opens through it. *)
+
 val event_to_json : event -> Json.t
 (** One-object encoding with a ["type"] discriminator field. *)
 

@@ -289,19 +289,12 @@ let map_array ?chunk ?retries ?task_timeout_s t f src =
   let timeout_s =
     match task_timeout_s with Some _ as s -> s | None -> t.pool_timeout_s
   in
-  if t.pool_jobs <= 1 || n <= 1 then begin
-    let r =
-      Array.mapi
-        (fun i x ->
-          retry_element ~timeout_s ~retries ~attempts_done:0 ~lane:t.lanes.(0)
-            ~lane_idx:0 ~index:i f x ~first_exn:None)
-        src
-    in
-    (* Batch boundary: publish any per-domain metric shards the elements
-       filled (see Ewalk_obs.Shard), same as the parallel path below. *)
-    Ewalk_obs.Shard.flush_local ();
-    r
-  end
+  if t.pool_jobs <= 1 || n <= 1 then
+    Array.mapi
+      (fun i x ->
+        retry_element ~timeout_s ~retries ~attempts_done:0 ~lane:t.lanes.(0)
+          ~lane_idx:0 ~index:i f x ~first_exn:None)
+      src
   else begin
     let chunk =
       match chunk with
@@ -333,10 +326,6 @@ let map_array ?chunk ?retries ?task_timeout_s t f src =
           let busy_t0 = Ewalk_obs.Clock.now_ns () in
           drain_chunks ~src ~dst ~f ~timeout_s ~retrying ~chunk ~cursor ~stop
             ~state ~lane ~lane_idx;
-          (* Lane batch boundary: publish this lane's pending metric
-             shards before the pending decrement makes the batch's
-             results observable to the caller. *)
-          Ewalk_obs.Shard.flush_local ();
           lane.busy_ns <- lane.busy_ns + Ewalk_obs.Clock.elapsed_ns busy_t0;
           lane.tasks_run <- lane.tasks_run + 1;
           Mutex.lock state.b_mutex;
@@ -348,7 +337,6 @@ let map_array ?chunk ?retries ?task_timeout_s t f src =
     let busy_t0 = Ewalk_obs.Clock.now_ns () in
     drain_chunks ~src ~dst ~f ~timeout_s ~retrying ~chunk ~cursor ~stop ~state
       ~lane:caller ~lane_idx:0;
-    Ewalk_obs.Shard.flush_local ();
     caller.busy_ns <- caller.busy_ns + Ewalk_obs.Clock.elapsed_ns busy_t0;
     caller.tasks_run <- caller.tasks_run + 1;
     let wait_t0 = Ewalk_obs.Clock.now_ns () in

@@ -88,11 +88,6 @@ val map_array :
 
     Safe to call again after an exception and safe to call from code
     already running inside another pool's batch.
-
-    Every lane flushes its pending [Ewalk_obs.Shard] metric cells when its
-    share of the batch ends (and the sequential path flushes after the
-    map), so a registry snapshot taken after [map_array] returns sees
-    every increment the batch performed.
     @raise Invalid_argument if [chunk < 1] or [retries < 0]. *)
 
 val run : t -> (unit -> 'a) list -> 'a list

@@ -251,19 +251,9 @@ let stream t ~max_steps ~push =
       incr seen_count
     end
   in
-  push
-    (Obs.Trace.Run_start
-       { name = Engine.name e; n; m = Graph.m g; start });
-  (match Obs.Runlog.current () with
-  | Some r ->
-      push
-        (Obs.Trace.Run_info
-           {
-             run_id = r.Obs.Runlog.run_id;
-             parent_run_id = r.Obs.Runlog.parent_run_id;
-           })
-  | None -> ());
-  if steps0 > 0 then push (Obs.Trace.Resume { step = steps0 });
+  Obs.Trace.prologue push
+    ?resumed_at:(if steps0 > 0 then Some steps0 else None)
+    ~name:(Engine.name e) ~n ~m:(Graph.m g) ~start;
   mark start;
   Engine.set_observer e
     (Some

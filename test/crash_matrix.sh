@@ -20,7 +20,8 @@
 # byte-identical to the uninterrupted run's tail.
 #
 # Competing half: the same matrix for a W=4 competing run (one visited set
-# per walker, "kernel-competing" snapshots).
+# per walker, "kernel-competing" snapshots); its --metrics must count
+# blue_steps + red_steps equal to the stream's steps.
 #
 # At every snapshot of all three halves, before the leg is resumed,
 # checkpoint-inspect must report the stored visit counts verified against
@@ -290,11 +291,22 @@ expect_exit 0 "checkpoint-inspect reads a kernel snapshot" \
 CTR="$G --process e-process --walkers 4 --compete"
 CEVERY=50
 
+# blue_steps + red_steps from a --metrics file.
+colour_steps() {
+  local blue red
+  blue=$(grep -o '"blue_steps":[0-9]*' "$1" | cut -d: -f2)
+  red=$(grep -o '"red_steps":[0-9]*' "$1" | cut -d: -f2)
+  echo $((${blue:-0} + ${red:-0}))
+}
+
 note "competing trace checkpoint/resume on $CTR"
 check
-"$EPROC" trace $CTR --out "$work/cfull.jsonl" >/dev/null 2>&1 \
-  || fail "uninterrupted competing trace run failed"
+"$EPROC" trace $CTR --out "$work/cfull.jsonl" --metrics "$work/cfull.json" \
+  >/dev/null 2>&1 || fail "uninterrupted competing trace run failed"
 CSTEPS=$(grep -c '"type":"step"' "$work/cfull.jsonl")
+check
+[ "$(colour_steps "$work/cfull.json")" -eq "$CSTEPS" ] \
+  || fail "competing --metrics blue + red steps differ from the stream's $CSTEPS"
 note "competing run finishes in $CSTEPS walker-steps; killing at every ${CEVERY}-step boundary"
 
 ccut=$CEVERY

@@ -1,5 +1,5 @@
 (* Tests for the observability layer: JSON serialisation, the metrics
-   registry, trace sinks, timers/progress, and the Observe wiring that
+   registry, trace sinks, progress reporting, and the Observe wiring that
    connects walk processes to them — including the trace-determinism
    guarantee (same seed, same graph => identical event stream and metrics
    snapshot). *)
@@ -10,9 +10,7 @@ module Gen_regular = Ewalk_graph.Gen_regular
 module Rng = Ewalk_prng.Rng
 module Json = Ewalk_obs.Json
 module Metrics = Ewalk_obs.Metrics
-module Shard = Ewalk_obs.Shard
 module Trace = Ewalk_obs.Trace
-module Timer = Ewalk_obs.Timer
 module Progress = Ewalk_obs.Progress
 module Export = Ewalk_obs.Export
 module Flight = Ewalk_obs.Flight
@@ -23,8 +21,7 @@ module Srw = Ewalk.Srw
 module Cover = Ewalk.Cover
 module Coverage = Ewalk.Coverage
 module Observe = Ewalk.Observe
-
-let qcheck = QCheck_alcotest.to_alcotest
+module Engine = Ewalk.Engine
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -390,12 +387,6 @@ let metrics_histogram_first_registration_only () =
     (Metrics.hist_bounds h' = [| 1.0; 2.0; 4.0 |]);
   Metrics.observe h' 3.0;
   Alcotest.(check int) "same histogram behind both handles" 2
-    (Metrics.hist_count h);
-  (* The sharded wrapper forwards the same retrieval semantics. *)
-  let sh = Shard.histogram ~buckets:[| 9.0; 0.0 |] m "lens" in
-  Shard.observe sh 0.5;
-  ignore (Metrics.instruments m);
-  Alcotest.(check int) "shard merged into the same histogram" 3
     (Metrics.hist_count h)
 
 let metrics_set_at_deterministic () =
@@ -428,78 +419,6 @@ let metrics_set_at_deterministic () =
     [ 2; 0; 4; 1; 3 ];
   Alcotest.(check (float 0.0)) "last trial by index, not by arrival" 40.0
     (Metrics.gauge_value sweep)
-
-(* -- Shards ------------------------------------------------------------------ *)
-
-(* Increments left pending in per-domain cells — including cells of
-   domains that have already exited — are published by the pre-read hook,
-   so a registry read is exact without an explicit flush; a second read
-   after more increments must not double-count what was already drained. *)
-let shard_flush_on_read () =
-  let m = Metrics.create () in
-  let c = Shard.counter m "torn" in
-  let h = Shard.histogram ~buckets:[| 1.0; 2.0 |] m "torn_h" in
-  Shard.add c 5;
-  Shard.observe h 1.5;
-  let d =
-    Domain.spawn (fun () ->
-        Shard.add c 7;
-        Shard.incr c;
-        Shard.observe h 0.5)
-  in
-  Domain.join d;
-  Alcotest.(check int) "pending spans both domains' cells" 13
-    (Shard.pending c);
-  Alcotest.(check int) "backing counter not yet published" 0
-    (Metrics.value (Metrics.counter m "torn"));
-  (match List.assoc_opt "torn" (Metrics.instruments m) with
-  | Some (Metrics.Counter_view v) ->
-      Alcotest.(check int) "registry read is exact" 13 v
-  | _ -> Alcotest.fail "counter missing from instruments");
-  Alcotest.(check int) "nothing left pending after the read" 0
-    (Shard.pending c);
-  Alcotest.(check int) "histogram observations published" 2
-    (Metrics.hist_count (Metrics.histogram m "torn_h"));
-  (* Torn state: a fresh tail after the flush reconciles on the next read
-     without re-adding the part already drained. *)
-  Shard.add c 3;
-  Alcotest.(check int) "backing still at last flush" 13
-    (Metrics.value (Metrics.counter m "torn"));
-  Alcotest.(check int) "tail pending" 3 (Shard.pending c);
-  ignore (Metrics.instruments m);
-  Alcotest.(check int) "exact after second read" 16
-    (Metrics.value (Metrics.counter m "torn"));
-  Alcotest.(check int) "pending drained" 0 (Shard.pending c)
-
-(* Exactness property: whatever the domain count and per-domain volume,
-   every increment lands in the backing instrument exactly once. *)
-let shard_exactness_qcheck =
-  QCheck.Test.make ~count:20 ~name:"N-domain shard counts are exact"
-    QCheck.(pair (int_range 1 4) (int_range 1 2000))
-    (fun (domains, bumps) ->
-      let m = Metrics.create () in
-      let c = Shard.counter m "qc_steps" in
-      let h = Shard.histogram ~buckets:[| 0.5; 1.5 |] m "qc_lens" in
-      let workers =
-        List.init domains (fun _ ->
-            Domain.spawn (fun () ->
-                for i = 1 to bumps do
-                  Shard.incr c;
-                  Shard.add c 2;
-                  if i land 7 = 0 then Shard.observe h 1.0
-                done))
-      in
-      List.iter Domain.join workers;
-      Shard.incr c;
-      let v =
-        match List.assoc_opt "qc_steps" (Metrics.instruments m) with
-        | Some (Metrics.Counter_view v) -> v
-        | _ -> -1
-      in
-      v = (3 * domains * bumps) + 1
-      && Metrics.hist_count (Metrics.histogram m "qc_lens")
-         = domains * (bumps / 8)
-      && Shard.pending c = 0)
 
 (* -- Trace sinks ------------------------------------------------------------- *)
 
@@ -632,16 +551,7 @@ let trace_full_run_roundtrip () =
       Alcotest.(check bool) "run_end covered" true covered
   | _ -> Alcotest.fail "stream does not end with run_end"
 
-(* -- Timer / Progress -------------------------------------------------------- *)
-
-let timer_span () =
-  let x, span = Timer.with_span "unit" (fun () -> 41 + 1) in
-  Alcotest.(check int) "result" 42 x;
-  Alcotest.(check string) "name" "unit" (Timer.name span);
-  Alcotest.(check bool) "non-negative" true (Timer.elapsed span >= 0.0);
-  let d1 = Timer.elapsed span in
-  let d2 = Timer.elapsed span in
-  Alcotest.(check (float 0.0)) "stopped span is frozen" d1 d2
+(* -- Progress -------------------------------------------------------------- *)
 
 let progress_reporter () =
   let path = Filename.temp_file "ewalk_progress" ".txt" in
@@ -761,6 +671,134 @@ let observe_srw_attach () =
     (Metrics.value (Metrics.counter metrics "red_steps"));
   Alcotest.(check int) "no blue steps" 0
     (Metrics.value (Metrics.counter metrics "blue_steps"))
+
+(* Each walker keeps its own open phase, measured in its own steps: at
+   W = 4, cooperating and competing, no phase has length 0, every phase
+   but each walker's first closes one ([count] = phases - W), and the
+   closed lengths add up to the walker steps minus each walker's open
+   phase.  The phase openings come from the run's own [Phase] events,
+   read on a second observer with the walker's step count at the
+   boundary. *)
+let observe_phase_lengths_per_walker () =
+  let w = 4 in
+  List.iter
+    (fun (mode, label) ->
+      let rng = Rng.create ~seed:31 () in
+      let g = Gen_regular.random_regular_connected rng 300 3 in
+      let e = Engine.build ~mode Engine.E_uar g rng ~walkers:w in
+      let metrics = Metrics.create () in
+      let obs = Observe.create ~metrics () in
+      Observe.attach obs e;
+      let phases = ref 0 and opened = Array.make w (-1) in
+      Engine.set_observer e
+        (Some
+           (fun ~walker ev ->
+             match ev with
+             | Trace.Phase _ ->
+                 incr phases;
+                 opened.(walker) <- Engine.walker_steps e walker
+             | _ -> ()));
+      Engine.run_steps e 12_000;
+      Observe.flush obs;
+      let hist field =
+        let snap = Metrics.snapshot metrics in
+        match
+          Option.bind (Json.member "histograms" snap) (fun h ->
+              Option.bind (Json.member "phase_length" h) (Json.member field))
+        with
+        | Some v -> Option.get (Json.to_float_opt v)
+        | None -> Alcotest.failf "%s: phase_length %s missing" label field
+      in
+      let open_len = ref 0 and walker_steps = ref 0 in
+      for i = 0 to w - 1 do
+        Alcotest.(check bool) (label ^ ": every walker opened a phase") true
+          (opened.(i) >= 0);
+        walker_steps := !walker_steps + Engine.walker_steps e i;
+        open_len := !open_len + (Engine.walker_steps e i - opened.(i))
+      done;
+      Alcotest.(check bool) (label ^ ": no phase of length 0") true
+        (hist "min" >= 1.0);
+      Alcotest.(check int) (label ^ ": count = phases - W") (!phases - w)
+        (int_of_float (hist "count"));
+      Alcotest.(check int)
+        (label ^ ": sum = walker steps - open phases")
+        (!walker_steps - !open_len)
+        (int_of_float (hist "sum")))
+    [ (Engine.Cooperating, "cooperating"); (Engine.Competing, "competing") ]
+
+(* One metrics path: the same walk observed with a null sink and with a
+   live one publishes byte-identical snapshots, for every engine process
+   kind, one and four walkers, both disciplines.  The walks run past one
+   drain interval. *)
+let observe_null_and_live_sinks_agree () =
+  let snapshot proc ~mode ~walkers sink =
+    let rng = Rng.create ~seed:17 () in
+    let g = Gen_regular.random_regular_connected rng 200 3 in
+    let e = Engine.build ~mode proc g rng ~walkers in
+    let metrics = Metrics.create () in
+    let obs = Observe.create ~metrics ~sink () in
+    Observe.attach obs e;
+    (match mode with
+    | Engine.Cooperating ->
+        let p = Observe.instrument obs (Engine.process e) in
+        Cover.run_steps p 10_000;
+        Observe.finish obs p
+    | Engine.Competing ->
+        Engine.run_rounds e (10_000 / walkers);
+        Observe.flush obs);
+    Metrics.to_json_string metrics
+  in
+  List.iter
+    (fun (proc, pname) ->
+      List.iter
+        (fun walkers ->
+          List.iter
+            (fun (mode, mname) ->
+              let events = ref 0 in
+              let live = Trace.of_fun (fun _ -> incr events) in
+              let null = snapshot proc ~mode ~walkers Trace.null in
+              Alcotest.(check string)
+                (Printf.sprintf "%s w=%d %s" pname walkers mname)
+                null
+                (snapshot proc ~mode ~walkers live);
+              Alcotest.(check bool) "the live sink saw the walk" true
+                (!events >= 10_000))
+            [
+              (Engine.Cooperating, "cooperating");
+              (Engine.Competing, "competing");
+            ])
+        [ 1; 4 ])
+    [
+      (Engine.E_uar, "e-process"); (Engine.Srw, "srw"); (Engine.Rotor, "rotor");
+    ]
+
+(* Observation holds no state beyond its view: a registry dropped after
+   [finish] is garbage, so observing many short walks, each through a
+   fresh registry, leaves the live heap flat. *)
+let observe_fresh_registries_bounded () =
+  let g = Gen_classic.cycle 64 in
+  let walk () =
+    let t = Eprocess.create g (Rng.create ~seed:3 ()) ~start:0 in
+    let obs = Observe.create ~metrics:(Metrics.create ()) () in
+    Observe.attach obs t;
+    let p = Observe.instrument obs (Eprocess.process t) in
+    Cover.run_steps p 100;
+    Observe.finish obs p
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for _ = 1 to 200 do
+    walk ()
+  done;
+  let before = live_words () in
+  for _ = 1 to 1_800 do
+    walk ()
+  done;
+  let grown = live_words () - before in
+  if grown > 50_000 then
+    Alcotest.failf "1800 observed walks grew the live heap by %d words" grown
 
 (* -- Export ------------------------------------------------------------------- *)
 
@@ -1171,11 +1209,6 @@ let () =
           Alcotest.test_case "set_at deterministic" `Quick
             metrics_set_at_deterministic;
         ] );
-      ( "shard",
-        [
-          Alcotest.test_case "flush on read" `Quick shard_flush_on_read;
-          qcheck shard_exactness_qcheck;
-        ] );
       ( "trace",
         [
           Alcotest.test_case "ring buffer" `Quick trace_ring;
@@ -1188,7 +1221,6 @@ let () =
         ] );
       ( "timer",
         [
-          Alcotest.test_case "span" `Quick timer_span;
           Alcotest.test_case "progress" `Quick progress_reporter;
         ] );
       ( "observe",
@@ -1199,6 +1231,12 @@ let () =
             observe_event_stream_shape;
           Alcotest.test_case "noop is free" `Quick observe_noop_attaches_nothing;
           Alcotest.test_case "srw attach" `Quick observe_srw_attach;
+          Alcotest.test_case "phase lengths per walker" `Quick
+            observe_phase_lengths_per_walker;
+          Alcotest.test_case "null and live sinks agree" `Quick
+            observe_null_and_live_sinks_agree;
+          Alcotest.test_case "fresh registries bounded memory" `Quick
+            observe_fresh_registries_bounded;
           Alcotest.test_case "determinism" `Quick trace_determinism;
         ] );
       ( "export",
