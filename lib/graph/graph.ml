@@ -158,6 +158,31 @@ let count_parallel_edges g =
 
 let is_simple g = count_self_loops g = 0 && count_parallel_edges g = 0
 
+let digest g =
+  let block = Bytes.create 65536 in
+  let fill = ref 0 in
+  let blocks = Buffer.create 64 in
+  let flush () =
+    Buffer.add_string blocks (Digest.subbytes block 0 !fill);
+    fill := 0
+  in
+  let add x =
+    if !fill = Bytes.length block then flush ();
+    Bytes.set_int64_le block !fill (Int64.of_int x);
+    fill := !fill + 8
+  in
+  for e = 0 to g.m - 1 do
+    add g.edge_u.(e);
+    add g.edge_v.(e)
+  done;
+  for p = 0 to (2 * g.m) - 1 do
+    add g.adj_vertex.(p);
+    add g.adj_edge.(p)
+  done;
+  Array.iter add g.edge_pos;
+  flush ();
+  Digest.to_hex (Digest.string (Buffer.contents blocks))
+
 let pp ppf g =
   Format.fprintf ppf "graph(n=%d, m=%d, deg=[%d..%d])" g.n g.m (min_degree g)
     (max_degree g)

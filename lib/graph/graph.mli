@@ -108,5 +108,15 @@ val count_parallel_edges : t -> int
 val is_simple : t -> bool
 (** No self-loops and no parallel edges. *)
 
+val digest : t -> string
+(** Hex MD5 of the graph's whole layout: the endpoints of every edge in
+    id order, then every slot's (neighbour, edge) pair in slot order, then
+    both {!edge_slot}s of every edge, each number as 8 little-endian
+    bytes.  The stream is hashed 64 KiB at a time and the digest is that
+    of the blocks' digests, so memory stays bounded at any size.  Equal
+    digests mean equal edge ids, slot order and slot positions — what
+    [test/golden/graphs.txt] pins per generator and [eproc graph-info]
+    prints. *)
+
 val pp : Format.formatter -> t -> unit
 (** Human-readable one-line summary ([n], [m], degree range). *)

@@ -310,6 +310,56 @@ let prop_cycle_union_even =
       && Graph.max_degree g = 2 * r
       && Traversal.is_connected g)
 
+(* Slot-for-slot equality through the public accessors: row bounds,
+   every slot's (neighbour, edge), every edge's endpoints and slots. *)
+let same_layout g h =
+  let ok = ref (Graph.n g = Graph.n h && Graph.m g = Graph.m h) in
+  if !ok then begin
+    for v = 0 to Graph.n g - 1 do
+      if Graph.adj_start g v <> Graph.adj_start h v
+         || Graph.adj_stop g v <> Graph.adj_stop h v
+      then ok := false
+    done;
+    for p = 0 to (2 * Graph.m g) - 1 do
+      if Graph.slot_vertex g p <> Graph.slot_vertex h p
+         || Graph.slot_edge g p <> Graph.slot_edge h p
+      then ok := false
+    done;
+    for e = 0 to Graph.m g - 1 do
+      if Graph.endpoints g e <> Graph.endpoints h e
+         || Graph.edge_slot g e 0 <> Graph.edge_slot h e 0
+         || Graph.edge_slot g e 1 <> Graph.edge_slot h e 1
+      then ok := false
+    done
+  end;
+  !ok
+
+(* Every generator, at sizes where the regular ones restart often. *)
+let generators =
+  [|
+    (fun rng -> Gen_regular.random_regular_connected rng 24 3);
+    (fun rng -> Gen_regular.random_regular_connected rng 12 7);
+    (fun rng -> Gen_regular.random_regular rng 10 7);
+    (fun rng -> Gen_regular.random_regular rng 30 4);
+    (fun rng -> Gen_regular.random_regular rng 6 2);
+    (fun rng -> Gen_regular.random_regular_rejection rng 20 3);
+    (fun rng -> Gen_regular.pairing_multigraph rng 20 4);
+    (fun rng -> Gen_regular.configuration_model rng [| 3; 1; 2; 4; 2 |]);
+    (fun rng -> Gen_regular.cycle_union rng 9 1);
+    (fun rng -> Gen_regular.cycle_union rng 12 3);
+    (fun rng -> Gen_random.gnp rng 40 0.1);
+    (fun rng -> Gen_random.gnm rng 30 60);
+    (fun rng -> Gen_random.random_geometric rng 40 0.2);
+    (fun _ -> Gen_expander.margulis 6);
+  |]
+
+let prop_rebuild_identical =
+  QCheck.Test.make ~name:"generated graph = its edge-array rebuild" ~count:200
+    QCheck.(pair small_int (int_range 0 (Array.length generators - 1)))
+    (fun (seed, k) ->
+      let g = generators.(k) (Rng.create ~seed ()) in
+      same_layout g (Graph.of_edge_array ~n:(Graph.n g) (Graph.edge_array g)))
+
 let () =
   Alcotest.run "gen"
     [
@@ -362,6 +412,9 @@ let () =
           Alcotest.test_case "chordal cycle" `Quick chordal_cycle_test;
         ] );
       ( "properties",
-        [ qcheck prop_random_regular_invariants; qcheck prop_cycle_union_even ]
-      );
+        [
+          qcheck prop_random_regular_invariants;
+          qcheck prop_cycle_union_even;
+          qcheck prop_rebuild_identical;
+        ] );
     ]

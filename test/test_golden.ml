@@ -9,10 +9,18 @@
 
    The pinned lines live in golden/trajectories.txt.  A refactor of the
    stepping code must leave every line unchanged: any difference means
-   some run drew a different number, or drew in a different order. *)
+   some run drew a different number, or drew in a different order.
+
+   golden/graphs.txt pins every graph generator the same way: one line per
+   generator, parameters and seed, holding n, m and [Graph.digest] — edge
+   ids, slot order and slot positions.  A generator refactor must leave
+   every line unchanged. *)
 
 module Graph = Ewalk_graph.Graph
 module Gen_classic = Ewalk_graph.Gen_classic
+module Gen_regular = Ewalk_graph.Gen_regular
+module Gen_random = Ewalk_graph.Gen_random
+module Gen_expander = Ewalk_graph.Gen_expander
 module Rng = Ewalk_prng.Rng
 module Trace = Ewalk_obs.Trace
 module Pool = Ewalk_par.Pool
@@ -201,6 +209,85 @@ let trajectories_pinned () =
   Alcotest.(check int) "pinned run count" (List.length pinned) (List.length actual);
   List.iter2 (fun p a -> Alcotest.(check string) "pinned run" p a) pinned actual
 
+(* The generator pins: [(id, build)] with [build rng] drawing the graph
+   from a fresh generator per seed.  The small sizes and r = 7 make the
+   Steger-Wormald construction restart often. *)
+let graph_cases =
+  let seeded name build = List.map (fun seed -> (name, Some seed, build)) [ 1; 2; 3 ] in
+  let grid f xs ys = List.concat_map (fun x -> List.concat_map (f x) ys) xs in
+  let rr_connected =
+    grid
+      (fun r n ->
+        seeded (Printf.sprintf "random_regular_connected r=%d" r) (fun rng ->
+            Gen_regular.random_regular_connected rng n r))
+      [ 3; 4; 5; 6; 7 ] [ 12; 24; 1000 ]
+  in
+  let rr =
+    List.concat_map
+      (fun (n, r) ->
+        seeded (Printf.sprintf "random_regular r=%d" r) (fun rng ->
+            Gen_regular.random_regular rng n r))
+      [ (8, 7); (10, 7); (12, 4); (1000, 3); (1000, 6) ]
+  in
+  let rejection =
+    List.concat_map
+      (fun (n, r) ->
+        seeded (Printf.sprintf "random_regular_rejection r=%d" r) (fun rng ->
+            Gen_regular.random_regular_rejection rng n r))
+      [ (12, 3); (100, 4) ]
+  in
+  let pairing =
+    List.concat_map
+      (fun (n, r) ->
+        seeded (Printf.sprintf "pairing_multigraph r=%d" r) (fun rng ->
+            Gen_regular.pairing_multigraph rng n r))
+      [ (12, 3); (1000, 4) ]
+  in
+  let config =
+    seeded "configuration_model d=1..4" (fun rng ->
+        Gen_regular.configuration_model rng (Array.init 32 (fun v -> 1 + (v mod 4))))
+    @ seeded "configuration_model simple d=1..3" (fun rng ->
+          Gen_regular.configuration_model ~simple:true rng
+            (Array.init 42 (fun v -> 1 + (v mod 3))))
+  in
+  let cycles =
+    grid
+      (fun r n ->
+        seeded (Printf.sprintf "cycle_union r=%d" r) (fun rng ->
+            Gen_regular.cycle_union rng n r))
+      [ 1; 2; 3 ] [ 12; 1000 ]
+  in
+  let random =
+    seeded "gnp p=0.05" (fun rng -> Gen_random.gnp rng 100 0.05)
+    @ seeded "gnp p=0.004" (fun rng -> Gen_random.gnp rng 1000 0.004)
+    @ seeded "gnm edges=300" (fun rng -> Gen_random.gnm rng 100 300)
+    @ seeded "geometric radius=0.1" (fun rng -> Gen_random.random_geometric rng 200 0.1)
+  in
+  let margulis =
+    List.map
+      (fun k -> (Printf.sprintf "margulis k=%d" k, None, fun _ -> Gen_expander.margulis k))
+      [ 5; 32 ]
+  in
+  rr_connected @ rr @ rejection @ pairing @ config @ cycles @ random @ margulis
+
+let graph_line (id, seed, build) =
+  let g = build (Rng.create ~seed:(Option.value seed ~default:0) ()) in
+  Printf.sprintf "%s%s n=%d m=%d md5=%s" id
+    (match seed with None -> "" | Some s -> Printf.sprintf " seed=%d" s)
+    (Graph.n g) (Graph.m g) (Graph.digest g)
+
+let graphs_pinned () =
+  let actual = List.map graph_line graph_cases in
+  let pinned =
+    In_channel.with_open_text "golden/graphs.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  (* Print the lines this build computes, for a deliberate re-pin. *)
+  if actual <> pinned then List.iter prerr_endline actual;
+  Alcotest.(check int) "pinned graph count" (List.length pinned) (List.length actual);
+  List.iter2 (fun p a -> Alcotest.(check string) "pinned graph" p a) pinned actual
+
 (* Every experiment's table at tiny scale, under the command line's
    default seed and without a pool, as one text: a [# id] line, then the
    table's CSV.  Pinned in golden/experiments-tiny.txt. *)
@@ -234,4 +321,5 @@ let () =
         [ Alcotest.test_case "schema /2 refused" `Quick earlier_schema_refused ] );
       ( "experiments",
         [ Alcotest.test_case "tiny tables pinned" `Quick experiment_tables_pinned ] );
+      ("graphs", [ Alcotest.test_case "every generator pinned" `Quick graphs_pinned ]);
     ]
