@@ -53,94 +53,106 @@ let random_regular_rejection ?(max_attempts = 10_000) rng n r =
     (fun () -> pairing_multigraph rng n r)
     Graph.is_simple
 
-(* One Steger–Wormald construction attempt: match random suitable stub
-   pairs until done, or return None if the remaining stubs are provably
-   unmatchable. *)
-let steger_wormald_attempt rng n r =
-  let stubs = stubs_of_degrees (Array.make n r) in
-  let live = ref (Array.length stubs) in
-  let adjacent = Hashtbl.create (2 * n * r) in
-  let key u v = if u < v then (u, v) else (v, u) in
-  let b = Builder.create ~n in
-  let suitable u v = u <> v && not (Hashtbl.mem adjacent (key u v)) in
-  let take_pair () =
+(* A Steger–Wormald pair is suitable if its endpoints are distinct and
+   not yet adjacent. *)
+let suitable rows u v = u <> v && not (Graph.Rows.adjacent rows u v)
+
+(* One Steger–Wormald construction attempt into [rows], over [stubs] (r
+   per vertex): match random suitable stub pairs until every stub is
+   matched (true), or stop when the remaining stubs are provably
+   unmatchable (false).  Each matched pair becomes the next edge, from
+   the first stub drawn to the second; nothing is allocated. *)
+let steger_wormald_attempt rng rows stubs r =
+  for k = 0 to Array.length stubs - 1 do
+    stubs.(k) <- k / r
+  done;
+  Graph.Rows.clear rows;
+  let live = ref (Array.length stubs) and dead = ref false in
+  while !live > 0 && not !dead do
     (* Draw stub positions until a suitable pair appears; after too many
        consecutive misses, scan exhaustively to decide dead vs unlucky. *)
-    let rec draw misses =
-      if misses > 50 + (10 * !live) then scan ()
-      else begin
-        let i = Rng.int rng !live in
-        let j = Rng.int rng !live in
-        if i = j then draw (misses + 1)
-        else begin
-          let u = stubs.(i) and v = stubs.(j) in
-          if suitable u v then Some (i, j) else draw (misses + 1)
-        end
+    let i = ref (-1) and j = ref (-1) in
+    let misses = ref 0 and bound = 50 + (10 * !live) in
+    while !i < 0 && !misses <= bound do
+      let a = Rng.int rng !live in
+      let b = Rng.int rng !live in
+      if a <> b && suitable rows stubs.(a) stubs.(b) then begin
+        i := a;
+        j := b
       end
-    and scan () =
-      let found = ref None in
-      (let i = ref 0 in
-       while !found = None && !i < !live - 1 do
-         let j = ref (!i + 1) in
-         while !found = None && !j < !live do
-           if suitable stubs.(!i) stubs.(!j) then found := Some (!i, !j);
-           incr j
-         done;
-         incr i
-       done);
-      !found
-    in
-    draw 0
-  in
-  let remove_positions i j =
-    (* Remove the larger index first so the smaller one stays valid. *)
-    let hi = max i j and lo = min i j in
-    stubs.(hi) <- stubs.(!live - 1);
-    decr live;
-    stubs.(lo) <- stubs.(!live - 1);
-    decr live
-  in
-  let rec fill () =
-    if !live = 0 then Some (Builder.to_graph b)
+      else incr misses
+    done;
+    let a = ref 0 in
+    while !i < 0 && !a < !live - 1 do
+      let b = ref (!a + 1) in
+      while !i < 0 && !b < !live do
+        if suitable rows stubs.(!a) stubs.(!b) then begin
+          i := !a;
+          j := !b
+        end;
+        incr b
+      done;
+      incr a
+    done;
+    if !i < 0 then dead := true
     else begin
-      match take_pair () with
-      | None -> None
-      | Some (i, j) ->
-          let u = stubs.(i) and v = stubs.(j) in
-          Hashtbl.replace adjacent (key u v) ();
-          Builder.add_edge b u v;
-          remove_positions i j;
-          fill ()
+      Graph.Rows.add_edge rows stubs.(!i) stubs.(!j);
+      (* Remove the larger position first so the smaller one stays
+         valid. *)
+      let hi, lo = if !i > !j then (!i, !j) else (!j, !i) in
+      stubs.(hi) <- stubs.(!live - 1);
+      decr live;
+      stubs.(lo) <- stubs.(!live - 1);
+      decr live
     end
+  done;
+  not !dead
+
+(* Restart the construction until an attempt completes. *)
+let steger_wormald ~max_attempts rng rows stubs r =
+  let rec go k =
+    if k >= max_attempts then
+      failwith
+        (Printf.sprintf "Gen_regular.random_regular: no sample in %d attempts"
+           max_attempts)
+    else if not (steger_wormald_attempt rng rows stubs r) then go (k + 1)
   in
-  fill ()
+  go 0
 
 let random_regular ?(max_attempts = 1_000) rng n r =
   check_regular_args "Gen_regular.random_regular" n r;
   if n = 0 || r = 0 then Graph.of_edges ~n []
   else begin
-    let rec go k =
-      if k >= max_attempts then
-        failwith
-          (Printf.sprintf
-             "Gen_regular.random_regular: no sample in %d attempts"
-             max_attempts)
-      else begin
-        match steger_wormald_attempt rng n r with
-        | Some g -> g
-        | None -> go (k + 1)
-      end
-    in
-    go 0
+    let rows = Graph.Rows.create ~n ~width:r in
+    steger_wormald ~max_attempts rng rows (Array.make (n * r) 0) r;
+    Graph.Rows.freeze rows
   end
 
 let random_regular_connected ?(max_attempts = 1_000) rng n r =
   if r < 2 && n > 2 then
     invalid_arg "Gen_regular.random_regular_connected: r < 2 is never connected";
   check_regular_args "Gen_regular.random_regular_connected" n r;
-  reject_until ~max_attempts ~what:"simple connected"
-    (fun () -> random_regular ~max_attempts rng n r)
-    Traversal.is_connected
+  let what = "simple connected" in
+  if n = 0 || r = 0 then
+    reject_until ~max_attempts ~what
+      (fun () -> Graph.of_edges ~n [])
+      Traversal.is_connected
+  else begin
+    (* Each draw's spent stubs are the connectivity search's stack. *)
+    let rows = Graph.Rows.create ~n ~width:r and stubs = Array.make (n * r) 0 in
+    let rec go k =
+      if k >= max_attempts then
+        failwith
+          (Printf.sprintf "Gen_regular: no %s sample in %d attempts" what
+             max_attempts)
+      else begin
+        steger_wormald ~max_attempts rng rows stubs r;
+        if Graph.Rows.connected rows ~stack:stubs then Graph.Rows.freeze rows
+        else go (k + 1)
+      end
+    in
+    go 0
+  end
 
 let configuration_model ?(simple = false) ?(max_attempts = 10_000) rng degrees =
   let n = Array.length degrees in
@@ -159,9 +171,7 @@ let cycle_union ?(max_attempts = 10_000) rng n r =
      shares an edge with the ones already placed: the per-cycle acceptance
      probability is constant for constant r, unlike whole-union
      rejection. *)
-  let taken = Hashtbl.create (4 * n * r) in
-  let key u v = if u < v then (u, v) else (v, u) in
-  let b = Builder.create ~n in
+  let rows = Graph.Rows.create ~n ~width:(2 * r) in
   for _ = 1 to r do
     let rec place attempts =
       if attempts >= max_attempts then
@@ -171,19 +181,18 @@ let cycle_union ?(max_attempts = 10_000) rng n r =
              max_attempts)
       else begin
         let p = Rng.permutation rng n in
-        let fresh = ref true in
-        for i = 0 to n - 1 do
-          if Hashtbl.mem taken (key p.(i) p.((i + 1) mod n)) then fresh := false
+        let next i = p.((i + 1) mod n) in
+        let i = ref 0 in
+        while !i < n && not (Graph.Rows.adjacent rows p.(!i) (next !i)) do
+          incr i
         done;
-        if !fresh then
+        if !i = n then
           for i = 0 to n - 1 do
-            let u = p.(i) and v = p.((i + 1) mod n) in
-            Hashtbl.replace taken (key u v) ();
-            Builder.add_edge b u v
+            Graph.Rows.add_edge rows p.(i) (next i)
           done
         else place (attempts + 1)
       end
     in
     place 0
   done;
-  Builder.to_graph b
+  Graph.Rows.freeze rows

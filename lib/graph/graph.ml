@@ -142,19 +142,18 @@ let count_self_loops g =
   fold_edges g (fun acc _ u v -> if u = v then acc + 1 else acc) 0
 
 let count_parallel_edges g =
-  let seen = Hashtbl.create (2 * g.m) in
-  fold_edges g
-    (fun acc _ u v ->
-      if u = v then acc
-      else begin
-        let key = if u < v then (u, v) else (v, u) in
-        if Hashtbl.mem seen key then acc + 1
-        else begin
-          Hashtbl.add seen key ();
-          acc
-        end
-      end)
-    0
+  (* Stamp each neighbour with the row being scanned: one met again in
+     the same row is a parallel edge.  A pair is counted from its lower
+     endpoint's row only, and a loop not at all. *)
+  let stamp = Array.make g.n (-1) in
+  let count = ref 0 in
+  for u = 0 to g.n - 1 do
+    for p = g.xadj.(u) to g.xadj.(u + 1) - 1 do
+      let w = g.adj_vertex.(p) in
+      if w > u then if stamp.(w) = u then incr count else stamp.(w) <- u
+    done
+  done;
+  !count
 
 let is_simple g = count_self_loops g = 0 && count_parallel_edges g = 0
 
@@ -182,6 +181,140 @@ let digest g =
   Array.iter add g.edge_pos;
   flush ();
   Digest.to_hex (Digest.string (Buffer.contents blocks))
+
+module Rows = struct
+  type graph = t
+
+  type t = {
+    n : int;
+    width : int;
+    mutable m : int; (* edges placed: the next edge's id *)
+    mutable adj_vertex : int array; (* n * width; -1 marks a free slot *)
+    mutable adj_edge : int array; (* n * width *)
+    mutable edge_u : int array; (* n * width / 2 *)
+    mutable edge_v : int array;
+    mutable edge_pos : int array; (* n * width *)
+  }
+
+  let create ~n ~width =
+    if n < 0 || width < 0 then invalid_arg "Graph.Rows.create: negative size";
+    if n * width land 1 = 1 then invalid_arg "Graph.Rows.create: n * width is odd";
+    let slots = n * width in
+    {
+      n;
+      width;
+      m = 0;
+      adj_vertex = Array.make slots (-1);
+      adj_edge = Array.make slots 0;
+      edge_u = Array.make (slots / 2) 0;
+      edge_v = Array.make (slots / 2) 0;
+      edge_pos = Array.make slots 0;
+    }
+
+  let check_live t name =
+    if Array.length t.adj_vertex <> t.n * t.width then
+      invalid_arg ("Graph.Rows." ^ name ^ ": frozen")
+
+  let clear t =
+    check_live t "clear";
+    Array.fill t.adj_vertex 0 (Array.length t.adj_vertex) (-1);
+    t.m <- 0
+
+  let edges t = t.m
+
+  (* A row fills from its start, so its first free slot ends the scan. *)
+  let adjacent t u v =
+    let a = t.adj_vertex in
+    let p = ref (u * t.width) and stop = (u + 1) * t.width in
+    while !p < stop && a.(!p) >= 0 && a.(!p) <> v do
+      incr p
+    done;
+    !p < stop && a.(!p) = v
+
+  let free_slot t v =
+    let a = t.adj_vertex in
+    let p = ref (v * t.width) and stop = (v + 1) * t.width in
+    while !p < stop && a.(!p) >= 0 do
+      incr p
+    done;
+    if !p = stop then invalid_arg "Graph.Rows.add_edge: row full";
+    !p
+
+  let add_edge t u v =
+    check_live t "add_edge";
+    if u < 0 || u >= t.n || v < 0 || v >= t.n then
+      invalid_arg "Graph.Rows.add_edge: vertex out of range";
+    let pu = free_slot t u in
+    let pv =
+      if u <> v then free_slot t v
+      else if pu + 1 < (u + 1) * t.width then pu + 1
+      else invalid_arg "Graph.Rows.add_edge: row full"
+    in
+    let e = t.m in
+    t.adj_vertex.(pu) <- v;
+    t.adj_edge.(pu) <- e;
+    t.adj_vertex.(pv) <- u;
+    t.adj_edge.(pv) <- e;
+    t.edge_u.(e) <- u;
+    t.edge_v.(e) <- v;
+    t.edge_pos.(2 * e) <- pu;
+    t.edge_pos.((2 * e) + 1) <- pv;
+    t.m <- e + 1
+
+  let connected t ~stack =
+    let n = t.n in
+    n <= 1
+    ||
+    begin
+      check_live t "connected";
+      if Array.length stack < n then
+        invalid_arg "Graph.Rows.connected: stack shorter than n";
+      let a = t.adj_vertex and width = t.width in
+      let seen = Bytes.make n '\000' in
+      Bytes.set seen 0 '\001';
+      stack.(0) <- 0;
+      let top = ref 1 and reached = ref 1 in
+      while !top > 0 do
+        decr top;
+        let v = stack.(!top) in
+        for p = v * width to ((v + 1) * width) - 1 do
+          let w = a.(p) in
+          if w >= 0 && Bytes.get seen w = '\000' then begin
+            Bytes.set seen w '\001';
+            stack.(!top) <- w;
+            incr top;
+            incr reached
+          end
+        done
+      done;
+      !reached = n
+    end
+
+  let freeze t : graph =
+    check_live t "freeze";
+    if 2 * t.m <> t.n * t.width then invalid_arg "Graph.Rows.freeze: a row is not full";
+    let width = t.width in
+    let g : graph =
+      {
+        n = t.n;
+        m = t.m;
+        xadj = Array.init (t.n + 1) (fun v -> v * width);
+        adj_vertex = t.adj_vertex;
+        adj_edge = t.adj_edge;
+        edge_u = t.edge_u;
+        edge_v = t.edge_v;
+        edge_pos = t.edge_pos;
+      }
+    in
+    (* The graph owns the arrays now: the table keeps no alias of them. *)
+    t.adj_vertex <- [||];
+    t.adj_edge <- [||];
+    t.edge_u <- [||];
+    t.edge_v <- [||];
+    t.edge_pos <- [||];
+    t.m <- 0;
+    g
+end
 
 let pp ppf g =
   Format.fprintf ppf "graph(n=%d, m=%d, deg=[%d..%d])" g.n g.m (min_degree g)

@@ -118,5 +118,50 @@ val digest : t -> string
     [test/golden/graphs.txt] pins per generator and [eproc graph-info]
     prints. *)
 
+(** {1 Direct fill} *)
+
+(** A fixed-width row table that {e is} the CSR of the graph under
+    construction, for generators that know every degree in advance (the
+    random regular graphs and the cycle unions).  Vertex [v]'s row is the
+    slots [v * width .. (v + 1) * width - 1]; each added edge takes the
+    first free slot of each endpoint's row (a loop takes two) and the next
+    edge id, so a full table freezes into the graph {!of_edge_array}
+    builds from the same edges in the same order, slot for slot.  Nothing
+    is allocated after {!Rows.create}. *)
+module Rows : sig
+  type graph := t
+  type t
+
+  val create : n:int -> width:int -> t
+  (** An empty table: [n] rows of [width] free slots.
+      @raise Invalid_argument if [n] or [width] is negative or
+      [n * width] is odd. *)
+
+  val clear : t -> unit
+  (** Remove every edge. *)
+
+  val edges : t -> int
+  (** Edges added since creation or {!clear}. *)
+
+  val adjacent : t -> vertex -> vertex -> bool
+  (** [adjacent t u v] scans [u]'s filled slots for [v]; O(width). *)
+
+  val add_edge : t -> vertex -> vertex -> unit
+  (** Add edge [u v] with id {!edges}[ t].
+      @raise Invalid_argument on a vertex out of range or a full row. *)
+
+  val connected : t -> stack:int array -> bool
+  (** Whether the edges added so far connect all [n] vertices
+      ([n <= 1] counts as connected): a depth-first search over the rows
+      that uses [stack] (length at least [n]) as its stack and overwrites
+      it. *)
+
+  val freeze : t -> graph
+  (** The graph of a full table, on the table's own arrays: [xadj.(v) =
+      v * width].  The table gives them up and every later call on it but
+      {!edges} raises.
+      @raise Invalid_argument if some row is not full. *)
+end
+
 val pp : Format.formatter -> t -> unit
 (** Human-readable one-line summary ([n], [m], degree range). *)

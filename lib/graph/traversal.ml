@@ -1,17 +1,26 @@
+(* Breadth-first searches run on one int-array queue: a vertex is queued
+   once, when first reached, so [n] cells hold every queue. *)
+
 let bfs_distances_bounded g s radius =
   let n = Graph.n g in
   let dist = Array.make n (-1) in
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
   dist.(s) <- 0;
-  Queue.add s queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.take queue in
-    if dist.(v) < radius then
-      Graph.iter_neighbors g v (fun w _ ->
-          if dist.(w) < 0 then begin
-            dist.(w) <- dist.(v) + 1;
-            Queue.add w queue
-          end)
+  queue.(0) <- s;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let d = dist.(v) in
+    if d < radius then
+      for p = Graph.adj_start g v to Graph.adj_stop g v - 1 do
+        let w = Graph.slot_vertex g p in
+        if dist.(w) < 0 then begin
+          dist.(w) <- d + 1;
+          queue.(!tail) <- w;
+          incr tail
+        end
+      done
   done;
   dist
 
@@ -23,20 +32,27 @@ let connected_components g =
   let n = Graph.n g in
   let label = Array.make n (-1) in
   let next = ref 0 in
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   for s = 0 to n - 1 do
     if label.(s) < 0 then begin
       let c = !next in
       incr next;
       label.(s) <- c;
-      Queue.add s queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.take queue in
-        Graph.iter_neighbors g v (fun w _ ->
-            if label.(w) < 0 then begin
-              label.(w) <- c;
-              Queue.add w queue
-            end)
+      let head = ref !tail in
+      queue.(!tail) <- s;
+      incr tail;
+      while !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        for p = Graph.adj_start g v to Graph.adj_stop g v - 1 do
+          let w = Graph.slot_vertex g p in
+          if label.(w) < 0 then begin
+            label.(w) <- c;
+            queue.(!tail) <- w;
+            incr tail
+          end
+        done
       done
     end
   done;
@@ -107,20 +123,27 @@ let diameter_lower_bound g =
 let is_bipartite g =
   let n = Graph.n g in
   let colour = Array.make n (-1) in
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   let ok = ref true in
   for s = 0 to n - 1 do
     if colour.(s) < 0 then begin
       colour.(s) <- 0;
-      Queue.add s queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.take queue in
-        Graph.iter_neighbors g v (fun w _ ->
-            if colour.(w) < 0 then begin
-              colour.(w) <- 1 - colour.(v);
-              Queue.add w queue
-            end
-            else if colour.(w) = colour.(v) then ok := false)
+      let head = ref !tail in
+      queue.(!tail) <- s;
+      incr tail;
+      while !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        for p = Graph.adj_start g v to Graph.adj_stop g v - 1 do
+          let w = Graph.slot_vertex g p in
+          if colour.(w) < 0 then begin
+            colour.(w) <- 1 - colour.(v);
+            queue.(!tail) <- w;
+            incr tail
+          end
+          else if colour.(w) = colour.(v) then ok := false
+        done
       done
     end
   done;
@@ -149,20 +172,27 @@ let dfs_preorder g s =
 let spanning_forest g =
   let n = Graph.n g in
   let seen = Array.make n false in
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   let forest = ref [] in
   for s = 0 to n - 1 do
     if not seen.(s) then begin
       seen.(s) <- true;
-      Queue.add s queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.take queue in
-        Graph.iter_neighbors g v (fun w e ->
-            if not seen.(w) then begin
-              seen.(w) <- true;
-              forest := e :: !forest;
-              Queue.add w queue
-            end)
+      let head = ref !tail in
+      queue.(!tail) <- s;
+      incr tail;
+      while !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        for p = Graph.adj_start g v to Graph.adj_stop g v - 1 do
+          let w = Graph.slot_vertex g p in
+          if not seen.(w) then begin
+            seen.(w) <- true;
+            forest := Graph.slot_edge g p :: !forest;
+            queue.(!tail) <- w;
+            incr tail
+          end
+        done
       done
     end
   done;

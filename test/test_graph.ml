@@ -374,6 +374,126 @@ let prop_girth_vs_cycle_count =
       | Some gg, None -> gg > min 8 (n + 1) (* impossible: girth within bound *)
       | None, Some _ -> false)
 
+(* The pair-table definition [count_parallel_edges] had before it became
+   one stamp array: the reference the property compares against. *)
+let parallel_reference g =
+  let seen = Hashtbl.create 16 in
+  Graph.fold_edges g
+    (fun acc _ u v ->
+      if u = v then acc
+      else begin
+        let key = if u < v then (u, v) else (v, u) in
+        if Hashtbl.mem seen key then acc + 1
+        else begin
+          Hashtbl.add seen key ();
+          acc
+        end
+      end)
+    0
+
+let prop_parallel_reference =
+  QCheck.Test.make ~name:"parallel-edge count = pair-table reference" ~count:300
+    QCheck.(triple small_int (int_range 1 30) (int_range 0 6))
+    (fun (seed, n, r) ->
+      let n = if n * r land 1 = 1 then n + 1 else n in
+      let g = Ewalk_graph.Gen_regular.pairing_multigraph (Rng.create ~seed ()) n r in
+      Graph.count_parallel_edges g = parallel_reference g
+      && Graph.is_simple g
+         = (Graph.count_self_loops g = 0 && parallel_reference g = 0))
+
+(* The [Queue] searches the traversals ran before they moved to int-array
+   queues: the same visit order gives the same labels, distances and
+   forest. *)
+let queue_bfs g s =
+  let dist = Array.make (Graph.n g) (-1) in
+  let q = Queue.create () in
+  dist.(s) <- 0;
+  Queue.add s q;
+  while not (Queue.is_empty q) do
+    let v = Queue.take q in
+    Graph.iter_neighbors g v (fun w _ ->
+        if dist.(w) < 0 then begin
+          dist.(w) <- dist.(v) + 1;
+          Queue.add w q
+        end)
+  done;
+  dist
+
+let queue_forest g =
+  let seen = Array.make (Graph.n g) false in
+  let q = Queue.create () in
+  let forest = ref [] in
+  for s = 0 to Graph.n g - 1 do
+    if not seen.(s) then begin
+      seen.(s) <- true;
+      Queue.add s q;
+      while not (Queue.is_empty q) do
+        Graph.iter_neighbors g (Queue.take q) (fun w e ->
+            if not seen.(w) then begin
+              seen.(w) <- true;
+              forest := e :: !forest;
+              Queue.add w q
+            end)
+      done
+    end
+  done;
+  List.rev !forest
+
+let prop_traversal_reference =
+  QCheck.Test.make ~name:"array-queue searches = Queue reference" ~count:300
+    random_edge_list (fun (n, edges) ->
+      let g = Graph.of_edges ~n edges in
+      let labels, _ = Traversal.connected_components g in
+      List.for_all
+        (fun s ->
+          Traversal.bfs_distances g s = queue_bfs g s
+          && Array.for_all2
+               (fun d l -> d >= 0 = (l = labels.(s)))
+               (queue_bfs g s) labels)
+        (List.init n (fun s -> s))
+      && Traversal.spanning_forest g = queue_forest g)
+
+(* -- direct fill ------------------------------------------------------------- *)
+
+let same_graph g h = Graph.digest g = Graph.digest h && Graph.degrees g = Graph.degrees h
+
+let rows_fill () =
+  (* 4-regular on 4 vertices, with loops and a parallel pair. *)
+  let edges = [| (0, 1); (2, 2); (1, 2); (0, 3); (3, 1); (0, 2); (3, 3); (0, 1) |] in
+  let t = Graph.Rows.create ~n:4 ~width:4 in
+  Array.iter (fun (u, v) -> Graph.Rows.add_edge t u v) edges;
+  Alcotest.(check int) "edges" 8 (Graph.Rows.edges t);
+  Alcotest.(check bool) "adjacent" true (Graph.Rows.adjacent t 3 1);
+  Alcotest.(check bool) "loop adjacent" true (Graph.Rows.adjacent t 2 2);
+  Alcotest.(check bool) "not adjacent" false (Graph.Rows.adjacent t 0 0);
+  Alcotest.(check bool) "connected" true (Graph.Rows.connected t ~stack:(Array.make 4 0));
+  Alcotest.check_raises "row full" (Invalid_argument "Graph.Rows.add_edge: row full")
+    (fun () -> Graph.Rows.add_edge t 0 1);
+  let g = Graph.Rows.freeze t in
+  Alcotest.(check bool) "= of_edge_array" true (same_graph g (Graph.of_edge_array ~n:4 edges));
+  Alcotest.check_raises "frozen" (Invalid_argument "Graph.Rows.add_edge: frozen") (fun () ->
+      Graph.Rows.add_edge t 0 1);
+  Alcotest.check_raises "frozen once" (Invalid_argument "Graph.Rows.freeze: frozen")
+    (fun () -> ignore (Graph.Rows.freeze t))
+
+let rows_partial () =
+  let t = Graph.Rows.create ~n:4 ~width:2 in
+  Graph.Rows.add_edge t 0 1;
+  Graph.Rows.add_edge t 2 3;
+  Alcotest.(check bool) "two components" false
+    (Graph.Rows.connected t ~stack:(Array.make 4 0));
+  Alcotest.check_raises "not full" (Invalid_argument "Graph.Rows.freeze: a row is not full")
+    (fun () -> ignore (Graph.Rows.freeze t));
+  Graph.Rows.clear t;
+  Alcotest.(check int) "cleared" 0 (Graph.Rows.edges t);
+  Alcotest.(check bool) "cleared adjacency" false (Graph.Rows.adjacent t 0 1);
+  List.iter (fun (u, v) -> Graph.Rows.add_edge t u v) [ (0, 1); (1, 2); (2, 3); (3, 0) ];
+  Alcotest.(check bool) "cycle" true
+    (same_graph (Graph.Rows.freeze t)
+       (Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (3, 0) ]));
+  Alcotest.check_raises "odd slots" (Invalid_argument "Graph.Rows.create: n * width is odd")
+    (fun () -> ignore (Graph.Rows.create ~n:3 ~width:3))
+
 let () =
   Alcotest.run "graph"
     [
@@ -429,5 +549,12 @@ let () =
           qcheck prop_csr_wellformed;
           qcheck prop_components_partition;
           qcheck prop_girth_vs_cycle_count;
+          qcheck prop_parallel_reference;
+          qcheck prop_traversal_reference;
+        ] );
+      ( "direct fill",
+        [
+          Alcotest.test_case "rows = of_edge_array" `Quick rows_fill;
+          Alcotest.test_case "partial rows" `Quick rows_partial;
         ] );
     ]
