@@ -477,6 +477,8 @@ let graph_info_cmd =
     let rng = Rng.create ~seed () in
     let g = Expt.Families.build family rng ~n in
     Format.printf "%a@." Graph.pp g;
+    (* The layout digest test/golden/graphs.txt pins per generator. *)
+    Printf.printf "digest:          %s\n" (Graph.digest g);
     Printf.printf "connected:       %b\n" (Ewalk_graph.Traversal.is_connected g);
     Printf.printf "simple:          %b\n" (Graph.is_simple g);
     Printf.printf "all-degrees-even:%b\n" (Graph.all_degrees_even g);
@@ -609,8 +611,14 @@ let cover_cmd =
                 Engine.build ~mode:Engine.Competing kp g rng ~walkers
               in
               Option.iter (fun obs -> Observe.attach obs eng) obs;
+              let tick =
+                Option.map
+                  (fun obs ->
+                    Observe.ticker obs ~steps:(fun () -> Engine.steps eng))
+                  obs
+              in
               let r =
-                Option.map snd (Engine.run_until_first_cover ~cap eng)
+                Option.map snd (Engine.run_until_first_cover ~cap ?tick eng)
               in
               Option.iter Observe.flush obs;
               r

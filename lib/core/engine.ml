@@ -378,7 +378,7 @@ let run_rounds ?pool t rounds =
         step_round t
       done
 
-let run_until_first_cover ?pool ?(block = 64) ?cap t =
+let run_until_first_cover ?pool ?(block = 64) ?cap ?tick t =
   if t.mode = Cooperating then
     invalid_arg "Engine.run_until_first_cover: competing mode only";
   let cap = match cap with Some c -> c | None -> Cover.default_cap t.g in
@@ -390,7 +390,8 @@ let run_until_first_cover ?pool ?(block = 64) ?cap t =
   in
   while (not (any ())) && t.wsteps.(0) < cap do
     let burst = min block (cap - t.wsteps.(0)) in
-    run_rounds ?pool t burst
+    run_rounds ?pool t burst;
+    match tick with Some f -> f () | None -> ()
   done;
   if not (any ()) then None
   else begin

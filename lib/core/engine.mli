@@ -135,10 +135,17 @@ val run_rounds : ?pool:Ewalk_par.Pool.t -> t -> int -> unit
     @raise Invalid_argument if [r < 0]. *)
 
 val run_until_first_cover :
-  ?pool:Ewalk_par.Pool.t -> ?block:int -> ?cap:int -> t -> (int * int) option
+  ?pool:Ewalk_par.Pool.t ->
+  ?block:int ->
+  ?cap:int ->
+  ?tick:(unit -> unit) ->
+  t ->
+  (int * int) option
 (** Competing mode only: advance in [block]-round bursts (default 64)
     until some walker has seen every vertex or every walker has taken
-    [cap] steps (default {!Cover.default_cap}).  Returns
+    [cap] steps (default {!Cover.default_cap}), calling [tick] after each
+    burst (how {!Observe.ticker} drains metrics mid-run; it must not step
+    the engine).  Returns
     [Some (walker, cover_step)] for the walker with the smallest
     walker-local cover step (lowest index on ties) — deterministic and
     independent of [?pool].  @raise Invalid_argument in cooperating mode

@@ -237,6 +237,22 @@ let instrument ?resumed_at t (p : Cover.process) =
     end
   end
 
+let ticker t ~steps =
+  (match t.sh.metrics_ with
+  | None -> ()
+  | Some reg ->
+      t.drains <-
+        delta_drain ~also:Ewalk_obs.Throughput.add
+          (Metrics.counter reg "steps") steps
+        :: t.drains);
+  let last = ref (steps ()) in
+  fun () ->
+    let now = steps () in
+    if now - !last >= drain_interval then begin
+      last := now;
+      run_drains t
+    end
+
 let flush t = run_drains t
 
 let finish t (p : Cover.process) =

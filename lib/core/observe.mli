@@ -30,7 +30,8 @@
 
     A registry read between drains therefore lags the walk by at most one
     drain interval (a competing engine, which has no {!instrument} hook,
-    publishes at {!flush}); after {!finish} or {!flush} it is exact. *)
+    drains through {!ticker}, or only at {!flush}); after {!finish} or
+    {!flush} it is exact. *)
 
 module Metrics = Ewalk_obs.Metrics
 module Trace = Ewalk_obs.Trace
@@ -86,6 +87,15 @@ val instrument : ?resumed_at:int -> t -> Cover.process -> Cover.process
     pre-resume segment already crossed are dropped silently instead of
     re-announced (the original trace carries them), so the tail stream
     stays verifiable by {!Ewalk_check.Replay}. *)
+
+val ticker : t -> steps:(unit -> int) -> unit -> unit
+(** The drain cadence of a run that has no {!Cover.process} (a competing
+    engine, see {!Engine.run_until_first_cover}'s [tick]): [ticker t
+    ~steps] publishes the run's total [steps ()] as the [steps] counter
+    (and the throughput sampler's feed, as {!instrument} does) and
+    returns a tick that runs the view's drains whenever [steps ()] has
+    advanced a drain interval (4096 steps) since they last ran.  Call it
+    once per view, after {!attach}. *)
 
 val flush : t -> unit
 (** Run the view's drains without touching process-specific state — the

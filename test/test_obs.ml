@@ -772,6 +772,47 @@ let observe_null_and_live_sinks_agree () =
       (Engine.E_uar, "e-process"); (Engine.Srw, "srw"); (Engine.Rotor, "rotor");
     ]
 
+(* A competing engine drains through its burst tick: a registry read
+   part-way through [run_until_first_cover] already sees blue steps and
+   total steps, and the tick moves no draw. *)
+let observe_competing_tick_drains () =
+  let run ~tick_on =
+    let rng = Rng.create ~seed:23 () in
+    let g = Gen_regular.random_regular_connected rng 5000 4 in
+    let e = Engine.build ~mode:Engine.Competing Engine.E_uar g rng ~walkers:4 in
+    let metrics = Metrics.create () in
+    let obs = Observe.create ~metrics () in
+    Observe.attach obs e;
+    let read name = Metrics.value (Metrics.counter metrics name) in
+    let mid = ref None in
+    let tick =
+      if not tick_on then None
+      else begin
+        let drain = Observe.ticker obs ~steps:(fun () -> Engine.steps e) in
+        Some
+          (fun () ->
+            drain ();
+            if !mid = None && Engine.steps e >= 2 * 4096 then
+              mid := Some (read "blue_steps", read "steps"))
+      end
+    in
+    let first = Engine.run_until_first_cover ?tick e in
+    Observe.flush obs;
+    (first, Engine.positions e, Engine.steps e, !mid, read "steps")
+  in
+  let first0, pos0, steps0, _, _ = run ~tick_on:false in
+  let first1, pos1, steps1, mid, steps_counter = run ~tick_on:true in
+  Alcotest.(check (option (pair int int))) "same first cover" first0 first1;
+  Alcotest.(check (array int)) "same positions" pos0 pos1;
+  Alcotest.(check int) "same steps" steps0 steps1;
+  Alcotest.(check int) "steps counter exact after flush" steps1 steps_counter;
+  match mid with
+  | None -> Alcotest.fail "the run ended before the mid-run read"
+  | Some (blue, steps) ->
+      Alcotest.(check bool) "mid-run blue_steps > 0" true (blue > 0);
+      Alcotest.(check bool) "mid-run steps within the run" true
+        (steps >= 4096 && steps < steps1)
+
 (* Observation holds no state beyond its view: a registry dropped after
    [finish] is garbage, so observing many short walks, each through a
    fresh registry, leaves the live heap flat. *)
@@ -1238,6 +1279,8 @@ let () =
           Alcotest.test_case "fresh registries bounded memory" `Quick
             observe_fresh_registries_bounded;
           Alcotest.test_case "determinism" `Quick trace_determinism;
+          Alcotest.test_case "competing tick drains mid-run" `Quick
+            observe_competing_tick_drains;
         ] );
       ( "export",
         [
