@@ -220,8 +220,6 @@ module Rows = struct
     Array.fill t.adj_vertex 0 (Array.length t.adj_vertex) (-1);
     t.m <- 0
 
-  let edges t = t.m
-
   (* A row fills from its start, so its first free slot ends the scan. *)
   let adjacent t u v =
     let a = t.adj_vertex in

@@ -140,14 +140,11 @@ module Rows : sig
   val clear : t -> unit
   (** Remove every edge. *)
 
-  val edges : t -> int
-  (** Edges added since creation or {!clear}. *)
-
   val adjacent : t -> vertex -> vertex -> bool
   (** [adjacent t u v] scans [u]'s filled slots for [v]; O(width). *)
 
   val add_edge : t -> vertex -> vertex -> unit
-  (** Add edge [u v] with id {!edges}[ t].
+  (** Add edge [u v]; its id is the number of edges added before it.
       @raise Invalid_argument on a vertex out of range or a full row. *)
 
   val connected : t -> stack:int array -> bool
@@ -158,8 +155,8 @@ module Rows : sig
 
   val freeze : t -> graph
   (** The graph of a full table, on the table's own arrays: [xadj.(v) =
-      v * width].  The table gives them up and every later call on it but
-      {!edges} raises.
+      v * width].  The table gives them up and every later call on it
+      raises.
       @raise Invalid_argument if some row is not full. *)
 end
 
