@@ -121,38 +121,28 @@ let steger_wormald ~max_attempts rng rows stubs r =
 
 let random_regular ?(max_attempts = 1_000) rng n r =
   check_regular_args "Gen_regular.random_regular" n r;
-  if n = 0 || r = 0 then Graph.of_edges ~n []
-  else begin
-    let rows = Graph.Rows.create ~n ~width:r in
-    steger_wormald ~max_attempts rng rows (Array.make (n * r) 0) r;
-    Graph.Rows.freeze rows
-  end
+  let rows = Graph.Rows.create ~n ~width:r in
+  steger_wormald ~max_attempts rng rows (Array.make (n * r) 0) r;
+  Graph.Rows.freeze rows
 
 let random_regular_connected ?(max_attempts = 1_000) rng n r =
   if r < 2 && n > 2 then
     invalid_arg "Gen_regular.random_regular_connected: r < 2 is never connected";
   check_regular_args "Gen_regular.random_regular_connected" n r;
-  let what = "simple connected" in
-  if n = 0 || r = 0 then
-    reject_until ~max_attempts ~what
-      (fun () -> Graph.of_edges ~n [])
-      Traversal.is_connected
-  else begin
-    (* Each draw's spent stubs are the connectivity search's stack. *)
-    let rows = Graph.Rows.create ~n ~width:r and stubs = Array.make (n * r) 0 in
-    let rec go k =
-      if k >= max_attempts then
-        failwith
-          (Printf.sprintf "Gen_regular: no %s sample in %d attempts" what
-             max_attempts)
-      else begin
-        steger_wormald ~max_attempts rng rows stubs r;
-        if Graph.Rows.connected rows ~stack:stubs then Graph.Rows.freeze rows
-        else go (k + 1)
-      end
-    in
-    go 0
-  end
+  (* Each draw's spent stubs are the connectivity search's stack. *)
+  let rows = Graph.Rows.create ~n ~width:r and stubs = Array.make (n * r) 0 in
+  let rec go k =
+    if k >= max_attempts then
+      failwith
+        (Printf.sprintf "Gen_regular: no simple connected sample in %d attempts"
+           max_attempts)
+    else begin
+      steger_wormald ~max_attempts rng rows stubs r;
+      if Graph.Rows.connected rows ~stack:stubs then Graph.Rows.freeze rows
+      else go (k + 1)
+    end
+  in
+  go 0
 
 let configuration_model ?(simple = false) ?(max_attempts = 10_000) rng degrees =
   let n = Array.length degrees in

@@ -2,12 +2,15 @@
 
     This is the workload generator of the paper's evaluation: Figure 1 runs
     the E-process on random [d]-regular graphs for [d = 3 .. 7], generated
-    there with NetworkX's Steger–Wormald implementation.  We implement the
-    pairing (configuration) model with simple-graph rejection: conditioned on
-    producing a simple graph, the pairing model is exactly uniform over
-    simple [r]-regular graphs, and for constant [r] the acceptance
-    probability is bounded below by a constant, so generation is linear time
-    in expectation.  See DESIGN.md §3 for the substitution argument. *)
+    there with NetworkX's Steger–Wormald implementation.  {!random_regular}
+    is that algorithm — incremental pairing of random suitable stub pairs,
+    restarting when the remaining stubs admit none — which is
+    asymptotically uniform over simple [r]-regular graphs for
+    [r = o(n^(1/3))] and linear time in expectation for constant [r].  It
+    fills the graph's CSR directly ({!Graph.Rows}).  Exactly uniform
+    samples come from {!random_regular_rejection}, the pairing model with
+    simple-graph rejection, practical only for [r <= 4].  See DESIGN.md §3
+    for the substitution argument. *)
 
 val pairing_multigraph : Ewalk_prng.Rng.t -> int -> int -> Graph.t
 (** [pairing_multigraph rng n r]: one draw of the pairing model — [r]

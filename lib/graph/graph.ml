@@ -211,12 +211,7 @@ module Rows = struct
       edge_pos = Array.make slots 0;
     }
 
-  let check_live t name =
-    if Array.length t.adj_vertex <> t.n * t.width then
-      invalid_arg ("Graph.Rows." ^ name ^ ": frozen")
-
   let clear t =
-    check_live t "clear";
     Array.fill t.adj_vertex 0 (Array.length t.adj_vertex) (-1);
     t.m <- 0
 
@@ -239,7 +234,6 @@ module Rows = struct
     !p
 
   let add_edge t u v =
-    check_live t "add_edge";
     if u < 0 || u >= t.n || v < 0 || v >= t.n then
       invalid_arg "Graph.Rows.add_edge: vertex out of range";
     let pu = free_slot t u in
@@ -261,10 +255,9 @@ module Rows = struct
 
   let connected t ~stack =
     let n = t.n in
-    n <= 1
-    ||
-    begin
-      check_live t "connected";
+    if n <= 1 then true
+    else if t.m = 0 then false
+    else begin
       if Array.length stack < n then
         invalid_arg "Graph.Rows.connected: stack shorter than n";
       let a = t.adj_vertex and width = t.width in
@@ -289,7 +282,6 @@ module Rows = struct
     end
 
   let freeze t : graph =
-    check_live t "freeze";
     if 2 * t.m <> t.n * t.width then invalid_arg "Graph.Rows.freeze: a row is not full";
     let width = t.width in
     let g : graph =

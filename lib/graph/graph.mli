@@ -150,13 +150,14 @@ module Rows : sig
   val connected : t -> stack:int array -> bool
   (** Whether the edges added so far connect all [n] vertices
       ([n <= 1] counts as connected): a depth-first search over the rows
-      that uses [stack] (length at least [n]) as its stack and overwrites
-      it. *)
+      that uses [stack] as its stack and overwrites it.
+      @raise Invalid_argument if there are edges and [stack] is shorter
+      than [n]. *)
 
   val freeze : t -> graph
   (** The graph of a full table, on the table's own arrays: [xadj.(v) =
-      v * width].  The table gives them up and every later call on it
-      raises.
+      v * width].  The table gives the arrays up and must not be used
+      again.
       @raise Invalid_argument if some row is not full. *)
 end
 

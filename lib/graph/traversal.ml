@@ -123,27 +123,20 @@ let diameter_lower_bound g =
 let is_bipartite g =
   let n = Graph.n g in
   let colour = Array.make n (-1) in
-  let queue = Array.make n 0 in
-  let tail = ref 0 in
+  let queue = Queue.create () in
   let ok = ref true in
   for s = 0 to n - 1 do
     if colour.(s) < 0 then begin
       colour.(s) <- 0;
-      let head = ref !tail in
-      queue.(!tail) <- s;
-      incr tail;
-      while !head < !tail do
-        let v = queue.(!head) in
-        incr head;
-        for p = Graph.adj_start g v to Graph.adj_stop g v - 1 do
-          let w = Graph.slot_vertex g p in
-          if colour.(w) < 0 then begin
-            colour.(w) <- 1 - colour.(v);
-            queue.(!tail) <- w;
-            incr tail
-          end
-          else if colour.(w) = colour.(v) then ok := false
-        done
+      Queue.add s queue;
+      while not (Queue.is_empty queue) do
+        let v = Queue.take queue in
+        Graph.iter_neighbors g v (fun w _ ->
+            if colour.(w) < 0 then begin
+              colour.(w) <- 1 - colour.(v);
+              Queue.add w queue
+            end
+            else if colour.(w) = colour.(v) then ok := false)
       done
     end
   done;
@@ -172,27 +165,20 @@ let dfs_preorder g s =
 let spanning_forest g =
   let n = Graph.n g in
   let seen = Array.make n false in
-  let queue = Array.make n 0 in
-  let tail = ref 0 in
+  let queue = Queue.create () in
   let forest = ref [] in
   for s = 0 to n - 1 do
     if not seen.(s) then begin
       seen.(s) <- true;
-      let head = ref !tail in
-      queue.(!tail) <- s;
-      incr tail;
-      while !head < !tail do
-        let v = queue.(!head) in
-        incr head;
-        for p = Graph.adj_start g v to Graph.adj_stop g v - 1 do
-          let w = Graph.slot_vertex g p in
-          if not seen.(w) then begin
-            seen.(w) <- true;
-            forest := Graph.slot_edge g p :: !forest;
-            queue.(!tail) <- w;
-            incr tail
-          end
-        done
+      Queue.add s queue;
+      while not (Queue.is_empty queue) do
+        let v = Queue.take queue in
+        Graph.iter_neighbors g v (fun w e ->
+            if not seen.(w) then begin
+              seen.(w) <- true;
+              forest := e :: !forest;
+              Queue.add w queue
+            end)
       done
     end
   done;
