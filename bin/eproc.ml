@@ -849,6 +849,7 @@ let trace_cmd =
             ~name:(Engine.name eng) ~n:(Graph.n g) ~m:(Graph.m g)
             ~start:(Engine.position eng);
           Observe.attach obs eng;
+          let tick = Observe.ticker obs ~steps:(fun () -> Engine.steps eng) in
           (match checkpoint with
           | Some path -> Obs.Runlog.note_artifact ~key:"checkpoint" ~path
           | None -> ());
@@ -860,6 +861,7 @@ let trace_cmd =
           in
           while Engine.steps eng < cap && not (all_covered ()) do
             Engine.step eng;
+            tick ();
             let step = Engine.steps eng in
             match checkpoint with
             | Some path when step mod checkpoint_every = 0 ->

@@ -1,5 +1,6 @@
-(* Breadth-first searches run on one int-array queue: a vertex is queued
-   once, when first reached, so [n] cells hold every queue. *)
+(* The distance and component searches run on one int-array queue: a
+   vertex is queued once, when first reached, so [n] cells hold every
+   queue, in the order a [Queue] would hold it. *)
 
 let bfs_distances_bounded g s radius =
   let n = Graph.n g in
