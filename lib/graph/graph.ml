@@ -302,7 +302,6 @@ module Rows = struct
     t.edge_u <- [||];
     t.edge_v <- [||];
     t.edge_pos <- [||];
-    t.m <- 0;
     g
 end
 

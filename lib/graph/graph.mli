@@ -126,8 +126,8 @@ val digest : t -> string
     slots [v * width .. (v + 1) * width - 1]; each added edge takes the
     first free slot of each endpoint's row (a loop takes two) and the next
     edge id, so a full table freezes into the graph {!of_edge_array}
-    builds from the same edges in the same order, slot for slot.  Nothing
-    is allocated after {!Rows.create}. *)
+    builds from the same edges in the same order, slot for slot.  Adding
+    an edge allocates nothing. *)
 module Rows : sig
   type graph := t
   type t

@@ -196,18 +196,20 @@ let actual_lines () =
     graphs
   @ List.map snapshot_line snapshots
 
-let pinned_lines () =
-  In_channel.with_open_text "golden/trajectories.txt" In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> String.trim l <> "")
+(* Compare computed lines with a pinned file, line by line. *)
+let check_pinned ~what path actual =
+  let pinned =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  (* Print the lines this build computes, for a deliberate re-pin. *)
+  if actual <> pinned then List.iter prerr_endline actual;
+  Alcotest.(check int) ("pinned " ^ what ^ " count") (List.length pinned) (List.length actual);
+  List.iter2 (fun p a -> Alcotest.(check string) ("pinned " ^ what) p a) pinned actual
 
 let trajectories_pinned () =
-  let actual = actual_lines () and pinned = pinned_lines () in
-  if List.length pinned <> List.length actual then
-    (* Print the lines this build computes, for a deliberate re-pin. *)
-    List.iter prerr_endline actual;
-  Alcotest.(check int) "pinned run count" (List.length pinned) (List.length actual);
-  List.iter2 (fun p a -> Alcotest.(check string) "pinned run" p a) pinned actual
+  check_pinned ~what:"run" "golden/trajectories.txt" (actual_lines ())
 
 (* The generator pins: [(id, build)] with [build rng] drawing the graph
    from a fresh generator per seed.  The small sizes and r = 7 make the
@@ -277,16 +279,7 @@ let graph_line (id, seed, build) =
     (Graph.n g) (Graph.m g) (Graph.digest g)
 
 let graphs_pinned () =
-  let actual = List.map graph_line graph_cases in
-  let pinned =
-    In_channel.with_open_text "golden/graphs.txt" In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  (* Print the lines this build computes, for a deliberate re-pin. *)
-  if actual <> pinned then List.iter prerr_endline actual;
-  Alcotest.(check int) "pinned graph count" (List.length pinned) (List.length actual);
-  List.iter2 (fun p a -> Alcotest.(check string) "pinned graph" p a) pinned actual
+  check_pinned ~what:"graph" "golden/graphs.txt" (List.map graph_line graph_cases)
 
 (* Every experiment's table at tiny scale, under the command line's
    default seed and without a pool, as one text: a [# id] line, then the
