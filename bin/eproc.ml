@@ -479,6 +479,11 @@ let graph_info_cmd =
     Format.printf "%a@." Graph.pp g;
     (* The layout digest test/golden/graphs.txt pins per generator. *)
     Printf.printf "digest:          %s\n" (Graph.digest g);
+    (* The graph's heap size, the count test_graph pins exactly. *)
+    let words = Obj.reachable_words (Obj.repr g) in
+    Printf.printf "bytes/vertex:    %.2f (%d words)\n"
+      (float_of_int (8 * words) /. float_of_int (max 1 (Graph.n g)))
+      words;
     Printf.printf "connected:       %b\n" (Ewalk_graph.Traversal.is_connected g);
     Printf.printf "simple:          %b\n" (Graph.is_simple g);
     Printf.printf "all-degrees-even:%b\n" (Graph.all_degrees_even g);

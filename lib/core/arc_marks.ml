@@ -84,10 +84,9 @@ let incident_edges t v =
   let out = ref [] in
   for p = Graph.adj_stop t.g v - 1 downto Graph.adj_start t.g v do
     if not (marked t p) then begin
-      let e = Graph.slot_edge t.g p in
       (* A self-loop owns two slots of [v]'s region: list it at its first. *)
-      if Graph.slot_vertex t.g p <> v || Graph.edge_slot t.g e 0 = p
-      then out := e :: !out
+      if Graph.slot_vertex t.g p <> v || Graph.slot_twin t.g p > p then
+        out := Graph.slot_edge t.g p :: !out
     end
   done;
   Array.of_list !out
@@ -101,9 +100,11 @@ let slot_of_edge t v e =
   in
   go (Graph.adj_start t.g v)
 
-let retire_edge t e =
-  set_mark t (Graph.edge_slot t.g e 0);
-  set_mark t (Graph.edge_slot t.g e 1)
+(* The twin load checks [p]'s range before either mark is set. *)
+let retire_slot t p =
+  let q = Graph.slot_twin t.g p in
+  set_mark t p;
+  set_mark t q
 
 let slot_retired t p =
   if p < 0 || p >= t.slots then invalid_arg "Arc_marks: slot out of range";
@@ -111,21 +112,36 @@ let slot_retired t p =
 
 let edge_retired t e = marked t (Graph.edge_slot t.g e 0)
 
-let of_visited g visited =
-  let t = create g in
-  for e = 0 to Graph.m g - 1 do
-    if visited e then retire_edge t e
-  done;
-  t
+let bit_of bytes i = (Char.code (Bytes.get bytes (i lsr 3)) lsr (i land 7)) land 1
 
+(* The bulk conversions pack their output a byte at a time and never
+   branch on a bit: mid-walk about half the edges are retired, in no
+   pattern a branch predictor could follow.  Each edge's bit is its
+   arc-0 mark, read in edge order. *)
 let edge_set t =
-  let b = Bitset.create (Graph.m t.g) in
-  for e = 0 to Graph.m t.g - 1 do
-    if edge_retired t e then Bitset.set b e
+  let m = Graph.m t.g in
+  let b = Bitset.create m in
+  let out = Bitset.unsafe_bytes b and byte = ref 0 in
+  for e = 0 to m - 1 do
+    byte := !byte lor (bit_of t.bits (Graph.edge_slot t.g e 0) lsl (e land 7));
+    if e land 7 = 7 || e = m - 1 then begin
+      Bytes.set out (e lsr 3) (Char.unsafe_chr !byte);
+      byte := 0
+    end
   done;
   b
 
+(* One pass in slot order, over the marks and the graph's edge ids
+   together: each slot's mark is its edge's bit in the set. *)
 let of_edge_set g b =
   if Bitset.length b <> Graph.m g then
     invalid_arg "Arc_marks.of_edge_set: set length does not match the graph";
-  of_visited g (Bitset.get b)
+  let t = create g and set = Bitset.unsafe_bytes b and byte = ref 0 in
+  for p = 0 to t.slots - 1 do
+    byte := !byte lor (bit_of set (Graph.slot_edge g p) lsl (p land 7));
+    if p land 7 = 7 || p = t.slots - 1 then begin
+      Bytes.set t.bits (p lsr 3) (Char.unsafe_chr !byte);
+      byte := 0
+    end
+  done;
+  t

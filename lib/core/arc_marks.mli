@@ -3,8 +3,9 @@
 
     One bit per arc slot of the graph's CSR adjacency, so vertex [v]'s
     marks are the contiguous bits [adj_start v .. adj_stop v - 1].  A set
-    bit is a visited arc; retiring an edge sets both of its slot bits
-    ({!Ewalk_graph.Graph.edge_slot}).  A region's live (clear) slots
+    bit is a visited arc; retiring an edge sets both of its slot bits,
+    the slot a walk leaves by and that slot's twin
+    ({!Ewalk_graph.Graph.slot_twin}).  A region's live (clear) slots
     are counted with one masked-word popcount and enumerated in adjacency
     order, so the [k]-th live slot is the candidate the naive reference
     walks index with the same draw.  Regions wider than one word (degree
@@ -51,8 +52,12 @@ val slot_of_edge : t -> Graph.vertex -> Graph.edge -> int
 (** The first live slot of [v] carrying the edge.
     @raise Not_found if the edge is not live at [v]. *)
 
-val retire_edge : t -> Graph.edge -> unit
-(** Mark both arcs of the edge visited (idempotent). *)
+val retire_slot : t -> int -> unit
+(** [retire_slot t p] marks the arc at slot [p] and its
+    {!Ewalk_graph.Graph.slot_twin} visited, which retires the slot's edge
+    (idempotent).  {!Coverage.record_slot} is the one caller that retires
+    edges as a walk steps.
+    @raise Invalid_argument when the slot is out of range. *)
 
 val edge_retired : t -> Graph.edge -> bool
 
@@ -65,5 +70,5 @@ val edge_set : t -> Bitset.t
 (** The retired edges packed one bit per edge id ([m] bits). *)
 
 val of_edge_set : Graph.t -> Bitset.t -> t
-(** Inverse of {!edge_set}.
+(** Inverse of {!edge_set}, in one pass over the slots in order.
     @raise Invalid_argument if the set is not [m] bits long. *)

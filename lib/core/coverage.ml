@@ -1,6 +1,7 @@
 open Ewalk_graph
 
 type t = {
+  g : Graph.t;
   n : int;
   m : int;
   marks : Arc_marks.t; (* every traversed edge retired *)
@@ -14,6 +15,7 @@ type t = {
 let create g =
   let n = Graph.n g and m = Graph.m g in
   {
+    g;
     n;
     m;
     marks = Arc_marks.create g;
@@ -40,12 +42,14 @@ let record_move t ~step v =
 
 let record_start t v = record_move t ~step:0 v
 
-let record_edge t ~step e =
-  if not (Arc_marks.edge_retired t.marks e) then begin
-    Arc_marks.retire_edge t.marks e;
+let record_slot t ~step p =
+  if not (Arc_marks.slot_retired t.marks p) then begin
+    Arc_marks.retire_slot t.marks p;
     t.edges_seen <- t.edges_seen + 1;
     if t.edges_seen = t.m then t.edge_cover_step <- step
   end
+
+let record_edge t ~step e = record_slot t ~step (Graph.edge_slot t.g e 0)
 
 let marks t = t.marks
 let total_vertices t = t.n
@@ -113,6 +117,7 @@ let restore g ~clock s =
   check_cover_step ~what:"edge" ~clock ~full:(edges_seen = m)
     s.s_edge_cover_step;
   {
+    g;
     n;
     m;
     marks = Arc_marks.of_edge_set g s.s_edges;

@@ -30,14 +30,21 @@ val record_move : t -> step:int -> Graph.vertex -> unit
 (** [record_move t ~step v]: the walk occupies [v] after its [step]-th
     transition; [v] joins the vertex set. *)
 
+val record_slot : t -> step:int -> int -> unit
+(** [record_slot t ~step p]: transition number [step] left by adjacency
+    slot [p].  The first traversal of the slot's edge retires the slot and
+    its twin in the {!marks} ({!Arc_marks.retire_slot}) and counts the
+    edge; a repeat traversal changes nothing.  This is the one path that
+    retires an edge: every walk holds the slot it leaves by.
+    @raise Invalid_argument when the slot is out of range. *)
+
 val record_edge : t -> step:int -> Graph.edge -> unit
-(** [record_edge t ~step e]: transition number [step] traversed [e].  Its
-    first traversal retires [e] in the {!marks} and counts it; a repeat
-    traversal changes nothing. *)
+(** [record_edge t ~step e]: transition number [step] traversed [e];
+    {!record_slot} of the edge's arc-0 slot. *)
 
 val marks : t -> Arc_marks.t
 (** The marks of the traversed edges (shared, not a copy).  Only
-    {!record_edge} may retire an arc: the counts track it. *)
+    {!record_slot} may retire an arc: the counts track it. *)
 
 val total_vertices : t -> int
 (** [n] of the underlying graph. *)

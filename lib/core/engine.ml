@@ -194,12 +194,15 @@ let set_fault t f = t.fault <- f
 
 (* --- stepping -------------------------------------------------------- *)
 
-(* The [Step] event is built only when someone listens, so an unobserved
-   step allocates nothing. *)
-let emit_step t w ~step ~vertex ~edge ~blue =
+(* The [Step] event, and the edge id of the slot left by ([-1] for a lazy
+   stay), are read only when someone listens, so an unobserved step
+   allocates nothing and never loads an edge id. *)
+let emit_step t w ~step ~vertex ~slot ~blue =
   match t.observer with
   | None -> ()
-  | Some f -> f ~walker:w (Trace.Step { step; vertex; edge; blue })
+  | Some f ->
+      let edge = if slot < 0 then -1 else Graph.slot_edge t.g slot in
+      f ~walker:w (Trace.Step { step; vertex; edge; blue })
 
 let emit_phase_ev t w ev =
   (match t.observer with Some f -> f ~walker:w ev | None -> ());
@@ -307,18 +310,14 @@ let step_walker t w =
         t.gsteps
     | Competing -> t.wsteps.(w)
   in
-  if slot < 0 then emit_step t w ~step ~vertex:v ~edge:(-1) ~blue
+  if slot < 0 then emit_step t w ~step ~vertex:v ~slot ~blue
   else begin
-    let v = t.cov.(row t w) in
+    let set = t.cov.(row t w).set in
     let target = Graph.slot_vertex t.g slot in
-    let e = Graph.slot_edge t.g slot in
-    (* The slot the walker leaves by carries the edge's retired bit, in the
-       region [choose] has just read. *)
-    if not (Arc_marks.slot_retired v.marks slot) then
-      Coverage.record_edge v.set ~step e;
+    Coverage.record_slot set ~step slot;
     t.pos.(dest t w) <- target;
-    Coverage.record_move v.set ~step target;
-    emit_step t w ~step ~vertex:target ~edge:e ~blue
+    Coverage.record_move set ~step target;
+    emit_step t w ~step ~vertex:target ~slot ~blue
   end
 
 (* The cursor moves on after the step, so [position] is the stepping

@@ -69,7 +69,7 @@ let step t =
   t.steps <- t.steps + 1;
   t.used.(e) <- t.used.(e) + 1;
   t.last_used.(e) <- t.steps;
-  Coverage.record_edge t.coverage ~step:t.steps e;
+  Coverage.record_slot t.coverage ~step:t.steps !best_slot;
   t.pos <- w;
   Coverage.record_move t.coverage ~step:t.steps w
 

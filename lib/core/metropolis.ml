@@ -33,7 +33,7 @@ let step t =
     || Rng.float t.rng 1.0 < float_of_int deg /. float_of_int (Graph.degree t.g w)
   in
   if accept then begin
-    Coverage.record_edge t.coverage ~step:t.steps (Graph.slot_edge t.g slot);
+    Coverage.record_slot t.coverage ~step:t.steps slot;
     t.pos <- w;
     Coverage.record_move t.coverage ~step:t.steps w
   end

@@ -50,9 +50,8 @@ let step t =
     end
   done;
   let w = Graph.slot_vertex t.g !best_slot in
-  let e = Graph.slot_edge t.g !best_slot in
   t.steps <- t.steps + 1;
-  Coverage.record_edge t.coverage ~step:t.steps e;
+  Coverage.record_slot t.coverage ~step:t.steps !best_slot;
   t.pos <- w;
   t.visits.(w) <- t.visits.(w) + 1;
   Coverage.record_move t.coverage ~step:t.steps w

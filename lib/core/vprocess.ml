@@ -38,9 +38,8 @@ let step t =
   done;
   let slot = if !chosen >= 0 then !chosen else base + Rng.int t.rng deg in
   let w = Graph.slot_vertex t.g slot in
-  let e = Graph.slot_edge t.g slot in
   t.steps <- t.steps + 1;
-  Coverage.record_edge t.coverage ~step:t.steps e;
+  Coverage.record_slot t.coverage ~step:t.steps slot;
   t.pos <- w;
   Coverage.record_move t.coverage ~step:t.steps w
 

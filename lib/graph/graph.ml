@@ -1,64 +1,82 @@
 type vertex = int
 type edge = int
 
+(* Each layout array is a row of 32-bit ints held in [Bytes], four bytes
+   an entry, read and written through bounds-checked primitives. *)
 type t = {
   n : int;
   m : int;
-  xadj : int array; (* n + 1 row offsets into the slot arrays *)
-  adj_vertex : int array; (* 2m: neighbour stored at each slot *)
-  adj_edge : int array; (* 2m: undirected edge id stored at each slot *)
-  edge_u : int array; (* m *)
-  edge_v : int array; (* m *)
-  edge_pos : int array; (* 2m: slots of edge e at indices 2e and 2e+1 *)
+  xadj : Bytes.t; (* n + 1 row offsets into the slot arrays *)
+  adj_vertex : Bytes.t; (* 2m: neighbour stored at each slot *)
+  adj_edge : Bytes.t; (* 2m: undirected edge id stored at each slot *)
+  twin : Bytes.t; (* 2m: the other slot of the same edge *)
+  arc0 : Bytes.t; (* m: edge e's slot in its first endpoint's row *)
 }
+
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let[@inline] get a i = Int32.to_int (get32 a (4 * i))
+let[@inline] set a i x = set32 a (4 * i) (Int32.of_int x)
+let ints k = Bytes.create (4 * k)
+
+(* Vertex ids, edge ids, slot positions and row offsets are all stored as
+   int32, so [n] and [2m] must fit; checked before anything is
+   allocated. *)
+let max_index = 0x7FFF_FFFF
+
+let check_size ~who ~n ~slots =
+  if n > max_index || slots > max_index then
+    invalid_arg (who ^ ": n or 2m exceeds 2^31 - 1")
+
+(* Edge [e] joins [u] (slot [pu], in u's row) to [v] (slot [pv]). *)
+let link ~adj_vertex ~adj_edge ~twin ~arc0 e u v pu pv =
+  set adj_vertex pu v;
+  set adj_edge pu e;
+  set adj_vertex pv u;
+  set adj_edge pv e;
+  set twin pu pv;
+  set twin pv pu;
+  set arc0 e pu
 
 let of_edge_array ~n edges =
   if n < 0 then invalid_arg "Graph.of_edge_array: n < 0";
   let m = Array.length edges in
+  check_size ~who:"Graph.of_edge_array" ~n ~slots:(2 * m);
   Array.iter
     (fun (u, v) ->
       if u < 0 || u >= n || v < 0 || v >= n then
         invalid_arg "Graph.of_edge_array: vertex out of range")
     edges;
-  let deg = Array.make n 0 in
+  (* Count each row's degree at its end offset, then sum the prefixes. *)
+  let xadj = Bytes.make (4 * (n + 1)) '\000' in
   Array.iter
     (fun (u, v) ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
+      set xadj (u + 1) (get xadj (u + 1) + 1);
+      set xadj (v + 1) (get xadj (v + 1) + 1))
     edges;
-  let xadj = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    xadj.(v + 1) <- xadj.(v) + deg.(v)
+  for v = 1 to n do
+    set xadj v (get xadj v + get xadj (v - 1))
   done;
-  let cursor = Array.sub xadj 0 n in
-  let adj_vertex = Array.make (2 * m) 0 in
-  let adj_edge = Array.make (2 * m) 0 in
-  let edge_u = Array.make m 0 in
-  let edge_v = Array.make m 0 in
-  let edge_pos = Array.make (2 * m) 0 in
+  let cursor = Bytes.sub xadj 0 (4 * n) in
+  let adj_vertex = ints (2 * m) and adj_edge = ints (2 * m) in
+  let twin = ints (2 * m) and arc0 = ints m in
   Array.iteri
     (fun e (u, v) ->
-      edge_u.(e) <- u;
-      edge_v.(e) <- v;
-      let pu = cursor.(u) in
-      cursor.(u) <- pu + 1;
-      adj_vertex.(pu) <- v;
-      adj_edge.(pu) <- e;
-      edge_pos.(2 * e) <- pu;
-      let pv = cursor.(v) in
-      cursor.(v) <- pv + 1;
-      adj_vertex.(pv) <- u;
-      adj_edge.(pv) <- e;
-      edge_pos.((2 * e) + 1) <- pv)
+      let pu = get cursor u in
+      set cursor u (pu + 1);
+      let pv = get cursor v in
+      set cursor v (pv + 1);
+      link ~adj_vertex ~adj_edge ~twin ~arc0 e u v pu pv)
     edges;
-  { n; m; xadj; adj_vertex; adj_edge; edge_u; edge_v; edge_pos }
+  { n; m; xadj; adj_vertex; adj_edge; twin; arc0 }
 
 let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 
 let n g = g.n
 let m g = g.m
 
-let degree g v = g.xadj.(v + 1) - g.xadj.(v)
+let degree g v = get g.xadj (v + 1) - get g.xadj v
 let degrees g = Array.init g.n (degree g)
 
 let max_degree g =
@@ -89,25 +107,36 @@ let all_degrees_even g =
   done;
   !ok
 
-let endpoints g e = (g.edge_u.(e), g.edge_v.(e))
+let adj_start g v = get g.xadj v
+let adj_stop g v = get g.xadj (v + 1)
+let slot_vertex g p = get g.adj_vertex p
+let slot_edge g p = get g.adj_edge p
+let slot_twin g p = get g.twin p
+
+let edge_slot g e i =
+  match i with
+  | 0 -> get g.arc0 e
+  | 1 -> get g.twin (get g.arc0 e)
+  | _ -> invalid_arg "Graph.edge_slot: arc index is not 0 or 1"
+
+(* Arc 0 lies in the first endpoint's row and stores the second. *)
+let endpoints g e =
+  let a = get g.arc0 e in
+  (get g.adj_vertex (get g.twin a), get g.adj_vertex a)
 
 let opposite g e v =
-  if g.edge_u.(e) = v then g.edge_v.(e)
-  else if g.edge_v.(e) = v then g.edge_u.(e)
+  let a = get g.arc0 e in
+  let u = get g.adj_vertex (get g.twin a) and w = get g.adj_vertex a in
+  if u = v then w
+  else if w = v then u
   else invalid_arg "Graph.opposite: vertex is not an endpoint"
 
-let adj_start g v = g.xadj.(v)
-let adj_stop g v = g.xadj.(v + 1)
-let slot_vertex g p = g.adj_vertex.(p)
-let slot_edge g p = g.adj_edge.(p)
-let edge_slot g e i = g.edge_pos.((2 * e) + i)
-
-let neighbor g v i = g.adj_vertex.(g.xadj.(v) + i)
-let neighbor_edge g v i = g.adj_edge.(g.xadj.(v) + i)
+let neighbor g v i = get g.adj_vertex (get g.xadj v + i)
+let neighbor_edge g v i = get g.adj_edge (get g.xadj v + i)
 
 let iter_neighbors g v f =
-  for p = g.xadj.(v) to g.xadj.(v + 1) - 1 do
-    f g.adj_vertex.(p) g.adj_edge.(p)
+  for p = get g.xadj v to get g.xadj (v + 1) - 1 do
+    f (get g.adj_vertex p) (get g.adj_edge p)
   done
 
 let fold_neighbors g v f init =
@@ -119,7 +148,8 @@ let neighbors g v = List.rev (fold_neighbors g v (fun acc w _ -> w :: acc) [])
 
 let iter_edges g f =
   for e = 0 to g.m - 1 do
-    f e g.edge_u.(e) g.edge_v.(e)
+    let a = get g.arc0 e in
+    f e (get g.adj_vertex (get g.twin a)) (get g.adj_vertex a)
   done
 
 let fold_edges g f init =
@@ -130,7 +160,7 @@ let fold_edges g f init =
 let edge_list g =
   List.rev (fold_edges g (fun acc _ u v -> (u, v) :: acc) [])
 
-let edge_array g = Array.init g.m (fun e -> (g.edge_u.(e), g.edge_v.(e)))
+let edge_array g = Array.init g.m (endpoints g)
 
 let mem_edge g u v =
   let a, b = if degree g u <= degree g v then (u, v) else (v, u) in
@@ -138,8 +168,16 @@ let mem_edge g u v =
   iter_neighbors g a (fun w _ -> if w = b then found := true);
   !found
 
+(* A loop at [u] fills two slots of [u]'s own row: count them in slot
+   order, without the random reads of an edge-order pass. *)
 let count_self_loops g =
-  fold_edges g (fun acc _ u v -> if u = v then acc + 1 else acc) 0
+  let slots = ref 0 in
+  for u = 0 to g.n - 1 do
+    for p = get g.xadj u to get g.xadj (u + 1) - 1 do
+      if get g.adj_vertex p = u then incr slots
+    done
+  done;
+  !slots / 2
 
 let count_parallel_edges g =
   (* Stamp each neighbour with the row being scanned: one met again in
@@ -148,8 +186,8 @@ let count_parallel_edges g =
   let stamp = Array.make g.n (-1) in
   let count = ref 0 in
   for u = 0 to g.n - 1 do
-    for p = g.xadj.(u) to g.xadj.(u + 1) - 1 do
-      let w = g.adj_vertex.(p) in
+    for p = get g.xadj u to get g.xadj (u + 1) - 1 do
+      let w = get g.adj_vertex p in
       if w > u then if stamp.(w) = u then incr count else stamp.(w) <- u
     done
   done;
@@ -170,15 +208,18 @@ let digest g =
     Bytes.set_int64_le block !fill (Int64.of_int x);
     fill := !fill + 8
   in
-  for e = 0 to g.m - 1 do
-    add g.edge_u.(e);
-    add g.edge_v.(e)
-  done;
+  iter_edges g (fun _ u v ->
+      add u;
+      add v);
   for p = 0 to (2 * g.m) - 1 do
-    add g.adj_vertex.(p);
-    add g.adj_edge.(p)
+    add (get g.adj_vertex p);
+    add (get g.adj_edge p)
   done;
-  Array.iter add g.edge_pos;
+  for e = 0 to g.m - 1 do
+    let a = get g.arc0 e in
+    add a;
+    add (get g.twin a)
+  done;
   flush ();
   Digest.to_hex (Digest.string (Buffer.contents blocks))
 
@@ -189,45 +230,47 @@ module Rows = struct
     n : int;
     width : int;
     mutable m : int; (* edges placed: the next edge's id *)
-    mutable adj_vertex : int array; (* n * width; -1 marks a free slot *)
-    mutable adj_edge : int array; (* n * width *)
-    mutable edge_u : int array; (* n * width / 2 *)
-    mutable edge_v : int array;
-    mutable edge_pos : int array; (* n * width *)
+    (* The graph's slot arrays under construction (see [graph]);
+       [adj_vertex] holds -1 at a free slot. *)
+    mutable adj_vertex : Bytes.t;
+    mutable adj_edge : Bytes.t;
+    mutable twin : Bytes.t;
+    mutable arc0 : Bytes.t;
   }
 
   let create ~n ~width =
     if n < 0 || width < 0 then invalid_arg "Graph.Rows.create: negative size";
-    if n * width land 1 = 1 then invalid_arg "Graph.Rows.create: n * width is odd";
-    let slots = n * width in
+    (* [n * width] saturates rather than overflows. *)
+    let slots = if width > 0 && n > max_index / width then max_int else n * width in
+    check_size ~who:"Graph.Rows.create" ~n ~slots;
+    if slots land 1 = 1 then invalid_arg "Graph.Rows.create: n * width is odd";
     {
       n;
       width;
       m = 0;
-      adj_vertex = Array.make slots (-1);
-      adj_edge = Array.make slots 0;
-      edge_u = Array.make (slots / 2) 0;
-      edge_v = Array.make (slots / 2) 0;
-      edge_pos = Array.make slots 0;
+      adj_vertex = Bytes.make (4 * slots) '\255';
+      adj_edge = ints slots;
+      twin = ints slots;
+      arc0 = ints (slots / 2);
     }
 
   let clear t =
-    Array.fill t.adj_vertex 0 (Array.length t.adj_vertex) (-1);
+    Bytes.fill t.adj_vertex 0 (Bytes.length t.adj_vertex) '\255';
     t.m <- 0
 
   (* A row fills from its start, so its first free slot ends the scan. *)
   let adjacent t u v =
     let a = t.adj_vertex in
     let p = ref (u * t.width) and stop = (u + 1) * t.width in
-    while !p < stop && a.(!p) >= 0 && a.(!p) <> v do
+    while !p < stop && get a !p >= 0 && get a !p <> v do
       incr p
     done;
-    !p < stop && a.(!p) = v
+    !p < stop && get a !p = v
 
   let free_slot t v =
     let a = t.adj_vertex in
     let p = ref (v * t.width) and stop = (v + 1) * t.width in
-    while !p < stop && a.(!p) >= 0 do
+    while !p < stop && get a !p >= 0 do
       incr p
     done;
     if !p = stop then invalid_arg "Graph.Rows.add_edge: row full";
@@ -243,14 +286,8 @@ module Rows = struct
       else invalid_arg "Graph.Rows.add_edge: row full"
     in
     let e = t.m in
-    t.adj_vertex.(pu) <- v;
-    t.adj_edge.(pu) <- e;
-    t.adj_vertex.(pv) <- u;
-    t.adj_edge.(pv) <- e;
-    t.edge_u.(e) <- u;
-    t.edge_v.(e) <- v;
-    t.edge_pos.(2 * e) <- pu;
-    t.edge_pos.((2 * e) + 1) <- pv;
+    link ~adj_vertex:t.adj_vertex ~adj_edge:t.adj_edge ~twin:t.twin ~arc0:t.arc0
+      e u v pu pv;
     t.m <- e + 1
 
   let connected t ~stack =
@@ -269,7 +306,7 @@ module Rows = struct
         decr top;
         let v = stack.(!top) in
         for p = v * width to ((v + 1) * width) - 1 do
-          let w = a.(p) in
+          let w = get a p in
           if w >= 0 && Bytes.get seen w = '\000' then begin
             Bytes.set seen w '\001';
             stack.(!top) <- w;
@@ -283,25 +320,26 @@ module Rows = struct
 
   let freeze t : graph =
     if 2 * t.m <> t.n * t.width then invalid_arg "Graph.Rows.freeze: a row is not full";
-    let width = t.width in
+    let xadj = ints (t.n + 1) in
+    for v = 0 to t.n do
+      set xadj v (v * t.width)
+    done;
     let g : graph =
       {
         n = t.n;
         m = t.m;
-        xadj = Array.init (t.n + 1) (fun v -> v * width);
+        xadj;
         adj_vertex = t.adj_vertex;
         adj_edge = t.adj_edge;
-        edge_u = t.edge_u;
-        edge_v = t.edge_v;
-        edge_pos = t.edge_pos;
+        twin = t.twin;
+        arc0 = t.arc0;
       }
     in
     (* The graph owns the arrays now: the table keeps no alias of them. *)
-    t.adj_vertex <- [||];
-    t.adj_edge <- [||];
-    t.edge_u <- [||];
-    t.edge_v <- [||];
-    t.edge_pos <- [||];
+    t.adj_vertex <- Bytes.empty;
+    t.adj_edge <- Bytes.empty;
+    t.twin <- Bytes.empty;
+    t.arc0 <- Bytes.empty;
     g
 end
 

@@ -4,9 +4,18 @@
     slots, where each undirected edge [e] owns exactly two slots (one per
     endpoint; a self-loop owns two slots at the same vertex and contributes 2
     to its degree, the standard convention).  Every walk process in
-    [Ewalk] is driven off this structure; the E-process additionally needs
-    the {e slot positions} of each edge ({!edge_slot}) to mark both arcs of
-    an edge visited in O(1).
+    [Ewalk] is driven off this structure.
+
+    The layout is five arrays of 32-bit ints: the [n + 1] row offsets, and
+    for each of the [2m] slots its neighbour ({!slot_vertex}), its edge id
+    ({!slot_edge}) and its {e twin} ({!slot_twin}), the other slot of the
+    same edge; and for each edge its arc-0 slot ({!edge_slot} [e 0]), the
+    one in its first endpoint's row.  That is [4 (n + 1) + 28 m] bytes,
+    60 per vertex at degree 4.  An edge's endpoints are read through its
+    arc-0 slot and that slot's twin.  The twin lets an edge-preferring walk
+    retire both arcs of the edge it leaves by from the slot it holds, with
+    no lookup by edge id.  Because every entry is an int32, [n] and [2m]
+    are at most [2^31 - 1].
 
     Vertices are [0 .. n-1]; edges are [0 .. m-1] in insertion order. *)
 
@@ -18,7 +27,8 @@ type edge = int
 val of_edges : n:int -> (vertex * vertex) list -> t
 (** [of_edges ~n edges] builds a graph on vertices [0 .. n-1].  Parallel
     edges and self-loops are allowed (each listed pair is its own edge).
-    @raise Invalid_argument on a vertex outside [0 .. n-1] or [n < 0]. *)
+    @raise Invalid_argument on a vertex outside [0 .. n-1], [n < 0], or [n]
+    or [2m] above [2^31 - 1] (checked before anything is allocated). *)
 
 val of_edge_array : n:int -> (vertex * vertex) array -> t
 (** Array flavour of {!of_edges}. *)
@@ -64,10 +74,16 @@ val slot_vertex : t -> int -> vertex
 val slot_edge : t -> int -> edge
 (** [slot_edge g p] is the edge id stored in slot [p]. *)
 
+val slot_twin : t -> int -> int
+(** [slot_twin g p] is the other slot of the edge stored in slot [p]: it
+    lies in the row of [slot_vertex g p] (in [p]'s own row for a
+    self-loop), carries the same edge, and its twin is [p]. *)
+
 val edge_slot : t -> edge -> int -> int
 (** [edge_slot g e i], [i] 0 or 1: the adjacency slot position of the
     edge's [i]-th arc.  Arc 0 lies in the adjacency of the first
-    endpoint. *)
+    endpoint; arc 1 is its {!slot_twin}.
+    @raise Invalid_argument if [i] is not 0 or 1. *)
 
 val neighbor : t -> vertex -> int -> vertex
 (** [neighbor g v i] is the [i]-th neighbour of [v], [0 <= i < degree g v]. *)
@@ -126,16 +142,19 @@ val digest : t -> string
     slots [v * width .. (v + 1) * width - 1]; each added edge takes the
     first free slot of each endpoint's row (a loop takes two) and the next
     edge id, so a full table freezes into the graph {!of_edge_array}
-    builds from the same edges in the same order, slot for slot.  Adding
-    an edge allocates nothing. *)
+    builds from the same edges in the same order, slot for slot.  The
+    table fills the graph's own int32 slot arrays in place — neighbour,
+    edge id and twin per slot, arc 0 per edge — with a free slot's
+    neighbour -1 (bytes [0xFF]), so adding an edge allocates nothing. *)
 module Rows : sig
   type graph := t
   type t
 
   val create : n:int -> width:int -> t
   (** An empty table: [n] rows of [width] free slots.
-      @raise Invalid_argument if [n] or [width] is negative or
-      [n * width] is odd. *)
+      @raise Invalid_argument if [n] or [width] is negative, [n * width]
+      is odd, or [n] or [n * width] is above [2^31 - 1] (checked before
+      anything is allocated). *)
 
   val clear : t -> unit
   (** Remove every edge. *)
@@ -155,9 +174,9 @@ module Rows : sig
       than [n]. *)
 
   val freeze : t -> graph
-  (** The graph of a full table, on the table's own arrays: [xadj.(v) =
-      v * width].  The table gives the arrays up and must not be used
-      again.
+  (** The graph of a full table, on the table's own slot arrays, with
+      row offsets [v * width].  The table gives the arrays up and must
+      not be used again.
       @raise Invalid_argument if some row is not full. *)
 end
 

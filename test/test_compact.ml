@@ -163,7 +163,7 @@ let prop_marks_model =
       marks_agree g marks visited
       && Array.for_all
            (fun e ->
-             Arc_marks.retire_edge marks e;
+             Arc_marks.retire_slot marks (Graph.edge_slot g e (e land 1));
              model.(e) <- true;
              let u, w = Graph.endpoints g e in
              Arc_marks.edge_retired marks e && vertex_ok u && vertex_ok w)

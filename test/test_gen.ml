@@ -360,6 +360,44 @@ let prop_rebuild_identical =
       let g = generators.(k) (Rng.create ~seed ()) in
       same_layout g (Graph.of_edge_array ~n:(Graph.n g) (Graph.edge_array g)))
 
+(* Every slot's twin is the other slot of its edge, in the row of the
+   slot's neighbour (its own row for a loop); every edge's arc 0 lies in
+   its first endpoint's row and stores the second, and arc 1 is arc 0's
+   twin. *)
+let twins_consistent g =
+  let ok = ref true in
+  let in_row v p = Graph.adj_start g v <= p && p < Graph.adj_stop g v in
+  for p = 0 to (2 * Graph.m g) - 1 do
+    let q = Graph.slot_twin g p in
+    if Graph.slot_twin g q <> p || q = p
+       || Graph.slot_edge g q <> Graph.slot_edge g p
+       || not (in_row (Graph.slot_vertex g p) q)
+    then ok := false
+  done;
+  for e = 0 to Graph.m g - 1 do
+    let a = Graph.edge_slot g e 0 and u, v = Graph.endpoints g e in
+    if Graph.edge_slot g e 1 <> Graph.slot_twin g a
+       || (not (in_row u a))
+       || Graph.slot_vertex g a <> v
+       || Graph.slot_edge g a <> e
+    then ok := false
+  done;
+  !ok
+
+let prop_twins_generated =
+  QCheck.Test.make ~name:"slot twins and arc-0 slots of every generator" ~count:200
+    QCheck.(pair small_int (int_range 0 (Array.length generators - 1)))
+    (fun (seed, k) -> twins_consistent (generators.(k) (Rng.create ~seed ())))
+
+(* Few vertices, so loops and parallel edges are common. *)
+let prop_twins_multigraph =
+  QCheck.Test.make ~name:"slot twins and arc-0 slots of multigraphs" ~count:300
+    QCheck.(pair (int_range 1 6) (small_list (pair small_nat small_nat)))
+    (fun (n, pairs) ->
+      let edges = Array.of_list (List.map (fun (u, v) -> (u mod n, v mod n)) pairs) in
+      let g = Graph.of_edge_array ~n edges in
+      twins_consistent g && Graph.edge_array g = edges)
+
 let () =
   Alcotest.run "gen"
     [
@@ -416,5 +454,7 @@ let () =
           qcheck prop_random_regular_invariants;
           qcheck prop_cycle_union_even;
           qcheck prop_rebuild_identical;
+          qcheck prop_twins_generated;
+          qcheck prop_twins_multigraph;
         ] );
     ]

@@ -104,6 +104,41 @@ let graph_validation () =
   Alcotest.(check int) "empty n" 0 (Graph.n empty);
   Alcotest.(check int) "empty min degree" 0 (Graph.min_degree empty)
 
+(* Ids, slots and offsets are int32: sizes past 2^31 - 1 are refused
+   before anything is allocated (these calls would need 16 GB and more),
+   and an arc index other than 0 or 1 does not read a neighbouring
+   edge's slot. *)
+let graph_size_limits () =
+  Alcotest.check_raises "n = 2^31"
+    (Invalid_argument "Graph.of_edge_array: n or 2m exceeds 2^31 - 1") (fun () ->
+      ignore (Graph.of_edge_array ~n:(1 lsl 31) [||]));
+  Alcotest.check_raises "2m = 2^32"
+    (Invalid_argument "Graph.Rows.create: n or 2m exceeds 2^31 - 1") (fun () ->
+      ignore (Graph.Rows.create ~n:(1 lsl 30) ~width:4));
+  Alcotest.check_raises "n * width past max_int"
+    (Invalid_argument "Graph.Rows.create: n or 2m exceeds 2^31 - 1") (fun () ->
+      ignore (Graph.Rows.create ~n:(1 lsl 40) ~width:(1 lsl 40)));
+  let g = triangle () in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "arc %d" i)
+        (Invalid_argument "Graph.edge_slot: arc index is not 0 or 1") (fun () ->
+          ignore (Graph.edge_slot g 0 i)))
+    [ -1; 2 ]
+
+(* The graph's heap size, pinned exactly: five int32 arrays, 4 (n + 1) +
+   28 m bytes, plus one header word per array and the record.  A layout
+   change shows here before any benchmark runs. *)
+let graph_heap_words () =
+  let words g = Obj.reachable_words (Obj.repr g) in
+  let rng () = Rng.create ~seed:1 () in
+  Alcotest.(check int) "random 4-regular, n = 10^4" 75018
+    (words (Ewalk_graph.Gen_regular.random_regular_connected (rng ()) 10_000 4));
+  Alcotest.(check int) "cycle_union r = 3, n = 1000" 11018
+    (words (Ewalk_graph.Gen_regular.cycle_union (rng ()) 1000 3));
+  Alcotest.(check int) "multigraph with loops and parallel edges" 45
+    (words (Graph.of_edges ~n:5 [ (0, 0); (0, 1); (1, 0); (2, 3); (3, 3); (4, 2); (0, 1) ]))
+
 (* -- builder --------------------------------------------------------------- *)
 
 let builder_roundtrip () =
@@ -487,6 +522,8 @@ let () =
           Alcotest.test_case "edges iteration" `Quick graph_edges_iteration;
           Alcotest.test_case "mem_edge" `Quick graph_mem_edge;
           Alcotest.test_case "validation" `Quick graph_validation;
+          Alcotest.test_case "size limits" `Quick graph_size_limits;
+          Alcotest.test_case "heap words" `Quick graph_heap_words;
         ] );
       ( "builder",
         [

@@ -33,7 +33,7 @@ let unvisited_initial () =
 let unvisited_retire () =
   let g = Gen_classic.cycle 4 in
   let u = Arc_marks.create g in
-  Arc_marks.retire_edge u 0;
+  Arc_marks.retire_slot u (Graph.edge_slot g 0 0);
   let a, b = Graph.endpoints g 0 in
   Alcotest.(check int) "endpoint a" 1 (live g u a);
   Alcotest.(check int) "endpoint b" 1 (live g u b);
@@ -56,7 +56,7 @@ let unvisited_self_loop () =
   Alcotest.(check int) "loop counts twice" 2 (live g u 0);
   Alcotest.(check int) "listed once" 1
     (Array.length (Arc_marks.incident_edges u 0));
-  Arc_marks.retire_edge u 0;
+  Arc_marks.retire_slot u (Graph.edge_slot g 0 1);
   Alcotest.(check int) "both slots retired" 0 (live g u 0)
 
 let unvisited_slot_with_edge () =
@@ -64,7 +64,7 @@ let unvisited_slot_with_edge () =
   let u = Arc_marks.create g in
   let slot = Arc_marks.slot_of_edge u 0 0 in
   Alcotest.(check int) "slot carries edge" 0 (Graph.slot_edge g slot);
-  Arc_marks.retire_edge u 0;
+  Arc_marks.retire_slot u slot;
   Alcotest.check_raises "gone" Not_found (fun () ->
       ignore (Arc_marks.slot_of_edge u 0 0))
 
